@@ -29,7 +29,6 @@ from .edit_core import (
     apply_edits,
     conflicts,
     count_votes,
-    edit_equal,
     extract_edits,
     intersect,
     tokenize,
@@ -74,7 +73,6 @@ __all__ = [
     "combine_sentence",
     "conflicts",
     "count_votes",
-    "edit_equal",
     "emit_m2",
     "expected_reward",
     "extract_edits",

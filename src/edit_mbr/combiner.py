@@ -5,6 +5,9 @@ the configured reward against every member of the reward-expectation set
 (the base systems by default).  Selection returns the candidate maximizing
 that expectation; richer selection sets (vote candidates, the greedy result)
 can only raise the attainable maximum.
+``combine_sentence`` is the one path for every strategy; it builds a
+sentence's vote candidates once, from one conflict-resolution pass, and only
+when the strategy or the reward set uses them.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ from .edit_core import (
     EditSet,
     ValidationError,
     conflicts,
-    intersect,
-    vote_set,
+    intersect,  # traced by perfbench/child.py
+    vote_set,  # traced by perfbench/child.py
+    vote_sets,
 )
 from .m2_io import Corpus
 from .rewards import RewardConfig, expected_reward
@@ -102,48 +106,49 @@ def vote_candidates(
 ) -> list[Candidate]:
     """Vote candidates for every threshold m = 1..N, labeled ``vote-m``.
 
-    ``vote-1`` is the conflict-resolved union of all system edit sets and
-    ``vote-N`` their intersection.
+    ``vote-1`` is the conflict-resolved union of all system edit sets,
+    ``vote-m`` its edits with at least m votes, and ``vote-N`` their
+    intersection.
     """
     if not systems:
         raise ValueError("need at least one system")
     sets = [candidate.edit_set for candidate in systems]
     return [
-        Candidate(vote_set(sets, m, priority), f"vote-{m}")
-        for m in range(1, len(sets) + 1)
+        Candidate(edit_set, f"vote-{m}")
+        for m, edit_set in enumerate(vote_sets(sets, priority), start=1)
     ]
 
 
-def _reward_candidates(
-    systems: Sequence[Candidate], votes: Sequence[Candidate], config: CombineConfig
-) -> list[Candidate]:
-    if config.reward_set == "base+votes":
-        return list(systems) + list(votes)
-    return list(systems)
-
-
 def greedy_combine(systems: Sequence[Candidate], config: CombineConfig) -> CombineResult:
-    """Grow the intersection edit set by best-first insertion, then MBR-select.
+    """``combine_sentence`` with the greedy strategy."""
+    return combine_sentence(systems, replace(config, strategy="greedy"))
 
-    The working set starts at the intersection of all system edit sets; the
-    pool is the conflict-resolved vote set at the configured threshold
-    (clamped to N) minus the working set.  Each round scores every pool edit
-    compatible with the working set and commits the insertion that raises
-    the expected reward the most, stopping when no insertion strictly
-    improves it.  Final selection runs over base systems, all vote
-    candidates, and the greedy result.
+
+def combine_sentence(systems: Sequence[Candidate], config: CombineConfig) -> CombineResult:
+    """Combine one sentence's system candidates per the configured strategy.
+
+    ``mbr`` selects among the systems, ``mbr-vote`` adds the vote candidates,
+    and ``greedy`` also adds a grown edit set: the working set starts at
+    ``vote-N`` (the intersection), the pool is ``vote-m`` at the configured
+    threshold (clamped to N) minus the working set.  Each round scores every
+    pool edit compatible with the working set and commits the insertion that
+    raises the expected reward the most, stopping when no insertion strictly
+    improves it.
     """
     systems = list(systems)
     if not systems:
         raise ValueError("need at least one system")
-    sets = [candidate.edit_set for candidate in systems]
-    votes = vote_candidates(systems)
-    reward_cands = _reward_candidates(systems, votes, config)
-    references = [candidate.edit_set for candidate in reward_cands]
+    need_votes = config.strategy != "mbr" or config.reward_set == "base+votes"
+    votes = vote_candidates(systems) if need_votes else []
+    reward_cands = systems + votes if config.reward_set == "base+votes" else systems
+    selection = systems if config.strategy == "mbr" else systems + votes
+    if config.strategy != "greedy":
+        return mbr_select(selection, reward_cands, config)
 
-    working = intersect(sets)
-    threshold = min(config.greedy_pool_threshold, len(sets))
-    pool = [edit for edit in vote_set(sets, threshold) if edit not in working]
+    references = [candidate.edit_set for candidate in reward_cands]
+    working = votes[-1].edit_set
+    threshold = min(config.greedy_pool_threshold, len(systems))
+    pool = [edit for edit in votes[threshold - 1].edit_set if edit not in working]
     current = expected_reward(working, references, config.reward)
     trace: list[GreedyStep] = []
     while pool:
@@ -162,23 +167,8 @@ def greedy_combine(systems: Sequence[Candidate], config: CombineConfig) -> Combi
         trace.append(GreedyStep(pool[best_index], current, best_score))
         working, current = best_set, best_score
         del pool[best_index]
-    selection = systems + votes + [Candidate(working, "greedy")]
-    result = mbr_select(selection, reward_cands, config)
+    result = mbr_select(selection + [Candidate(working, "greedy")], reward_cands, config)
     return replace(result, trace=tuple(trace))
-
-
-def combine_sentence(systems: Sequence[Candidate], config: CombineConfig) -> CombineResult:
-    """Combine one sentence's system candidates per the configured strategy."""
-    systems = list(systems)
-    if not systems:
-        raise ValueError("need at least one system")
-    if config.strategy == "greedy":
-        return greedy_combine(systems, config)
-    need_votes = config.strategy == "mbr-vote" or config.reward_set == "base+votes"
-    votes = vote_candidates(systems) if need_votes else []
-    reward_cands = _reward_candidates(systems, votes, config)
-    selection = systems + votes if config.strategy == "mbr-vote" else systems
-    return mbr_select(selection, reward_cands, config)
 
 
 def combine_corpus(

@@ -3,7 +3,8 @@
 A sentence is a whitespace-free token sequence.  An edit replaces the source
 span [start, end) with a replacement token sequence; an edit set is a
 canonical, conflict-free collection of edits describing one full correction
-of a sentence.
+of a sentence.  One conflict-resolution pass (``vote_sets``) yields the vote
+set at every threshold; ``vote_set`` is a view of it.
 """
 
 from __future__ import annotations
@@ -77,11 +78,6 @@ class Edit:
         return (self.start, self.end, self.replacement)
 
 
-def edit_equal(first: Edit, second: Edit) -> bool:
-    """True iff span and replacement are all identical."""
-    return first == second
-
-
 def conflicts(first: Edit, second: Edit) -> bool:
     """Whether two distinct edits cannot coexist in one edit set.
 
@@ -129,9 +125,6 @@ class EditSet:
 
     def __contains__(self, edit: Edit) -> bool:
         return edit in self.edits
-
-    def as_frozenset(self) -> frozenset[Edit]:
-        return frozenset(self.edits)
 
 
 @dataclass(frozen=True, slots=True)
@@ -274,18 +267,16 @@ def intersect(sets: Sequence[EditSet]) -> EditSet:
     return EditSet(first.source_len, tuple(kept))
 
 
-def vote_set(
-    sets: Sequence[EditSet], min_votes: int, priority: Sequence[int] | None = None
-) -> EditSet:
-    """Conflict-resolved set of edits proposed by at least ``min_votes`` sets.
+def vote_sets(sets: Sequence[EditSet], priority: Sequence[int] | None = None) -> list[EditSet]:
+    """Conflict-resolved vote sets for every threshold m = 1..N, from one pass.
 
-    Conflicts are resolved greedily: higher vote count wins, ties go to the
-    edit first proposed by the earliest system in ``priority`` (input order
-    when omitted), then to span position.
+    Conflicts are resolved greedily over the union: higher vote count wins,
+    ties go to the edit first proposed by the earliest system in ``priority``
+    (input order when omitted), then to span position.  Edits with at least
+    m votes form a prefix of that order, so each threshold's set is the
+    resolved union restricted to them.
     """
     _require_shared_source(sets)
-    if min_votes < 1:
-        raise ValueError("min_votes must be >= 1")
     order = list(range(len(sets))) if priority is None else list(priority)
     if sorted(order) != list(range(len(sets))):
         raise ValueError("priority must be a permutation of the system indices")
@@ -298,13 +289,26 @@ def vote_set(
             votes[edit] = votes.get(edit, 0) + 1
             if edit not in best_rank or r < best_rank[edit]:
                 best_rank[edit] = r
-    eligible = [e for e, v in votes.items() if v >= min_votes]
-    eligible.sort(key=lambda e: (-votes[e], best_rank[e]) + e.sort_key())
+    ranked = sorted(votes, key=lambda e: (-votes[e], best_rank[e]) + e.sort_key())
     kept: list[Edit] = []
-    for edit in eligible:
+    for edit in ranked:
         if not any(conflicts(edit, k) for k in kept):
             kept.append(edit)
-    return EditSet(sets[0].source_len, tuple(kept))
+    return [
+        EditSet(sets[0].source_len, tuple(e for e in kept if votes[e] >= m))
+        for m in range(1, len(sets) + 1)
+    ]
+
+
+def vote_set(
+    sets: Sequence[EditSet], min_votes: int, priority: Sequence[int] | None = None
+) -> EditSet:
+    """Conflict-resolved set of edits proposed by at least ``min_votes`` sets
+    (see ``vote_sets``); empty when ``min_votes`` exceeds the number of sets."""
+    if min_votes < 1:
+        raise ValueError("min_votes must be >= 1")
+    by_threshold = vote_sets(sets, priority)
+    return by_threshold[min_votes - 1] if min_votes <= len(sets) else EditSet(sets[0].source_len)
 
 
 def union_resolved(sets: Sequence[EditSet], priority: Sequence[int] | None = None) -> EditSet:

@@ -13,7 +13,10 @@ canonical (LF, ``REQUIRED``/``-NONE-`` flags, annotators ascending, edits in
 span order, ``UNK`` for untyped edits), so parse(emit(x)) == x and canonical
 files re-emit byte-identically.
 
-Plain-text corpora hold one tokenized sentence per line, UTF-8.
+Plain-text corpora hold one tokenized sentence per line, UTF-8.  Both formats
+split lines on ``\n`` only, dropping one trailing ``\r``; other line breaks
+(U+2028, U+0085, ``\v``, ``\f``, a lone ``\r``, ...) are whitespace to
+``str.split``, so inside a line they only separate tokens.
 """
 
 from __future__ import annotations
@@ -112,6 +115,12 @@ def primary_edit_set(entry: M2Entry) -> EditSet:
     return EditSet(len(entry.source))
 
 
+def _lines(text: str) -> list[str]:
+    """Split on ``\n`` only (a final ``\n`` ends the last line); drop one trailing ``\r``."""
+    lines = [line.removesuffix("\r") for line in text.split("\n")]
+    return lines[:-1] if lines[-1] == "" else lines
+
+
 def parse_m2(text: str) -> list[M2Entry]:
     """Parse M2 file content into entries.
 
@@ -148,7 +157,7 @@ def parse_m2(text: str) -> list[M2Entry]:
         source = None
         pending = {}
 
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(_lines(text), start=1):
         if not line.strip():
             close()
             continue
@@ -229,8 +238,20 @@ def emit_m2(entries: Sequence[M2Entry]) -> str:
 
 def load_sentences(path) -> list[Sentence]:
     """Read a one-sentence-per-line UTF-8 corpus."""
-    text = Path(path).read_text(encoding="utf-8")
-    return [tokenize(line) for line in text.splitlines()]
+    return [tokenize(line) for line in _lines(Path(path).read_bytes().decode("utf-8"))]
+
+
+def load_matching_m2(path, sources: Sequence[Sentence], source_name) -> list[M2Entry]:
+    """Parse an M2 file whose entries must match ``sources`` one to one."""
+    entries = parse_m2(Path(path).read_bytes().decode("utf-8"))
+    if len(entries) != len(sources):
+        raise ValidationError(
+            f"{path}: {len(entries)} entries, but {source_name} has {len(sources)} lines"
+        )
+    for index, (entry, source) in enumerate(zip(entries, sources), start=1):
+        if entry.source != source:
+            raise ValidationError(f"{path}: entry {index} source differs from {source_name}")
+    return entries
 
 
 def load_hypothesis_sets(path, sources: Sequence[Sentence], source_name) -> list[EditSet]:
@@ -240,19 +261,7 @@ def load_hypothesis_sets(path, sources: Sequence[Sentence], source_name) -> list
     else is read as text and aligned with ``extract_edits``.
     """
     if str(path).lower().endswith(".m2"):
-        entries = parse_m2(Path(path).read_text(encoding="utf-8"))
-        if len(entries) != len(sources):
-            raise ValidationError(
-                f"{path}: {len(entries)} entries, but {source_name} has {len(sources)} lines"
-            )
-        sets = []
-        for index, entry in enumerate(entries):
-            if entry.source != sources[index]:
-                raise ValidationError(
-                    f"{path}: entry {index + 1} source differs from {source_name}"
-                )
-            sets.append(primary_edit_set(entry))
-        return sets
+        return [primary_edit_set(entry) for entry in load_matching_m2(path, sources, source_name)]
     hyps = load_sentences(path)
     if len(hyps) != len(sources):
         raise ValidationError(

@@ -6,7 +6,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .edit_core import EditSet, ValidationError
+from .edit_core import Edit, EditSet, ValidationError
 
 REWARD_KINDS = ("recall", "precision", "f", "f-paper", "jaccard")
 
@@ -33,8 +33,8 @@ class RewardConfig:
     def __post_init__(self) -> None:
         if self.kind not in REWARD_KINDS:
             raise ValueError(f"unknown reward kind {self.kind!r}; expected one of {REWARD_KINDS}")
-        if not self.beta > 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        if not 0 < self.beta < math.inf:
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
         for name in ("empty_empty_value", "empty_denominator_value"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -47,6 +47,13 @@ def reward(ref_edits: EditSet, hyp_edits: EditSet, config: RewardConfig) -> floa
     Every kind except ``f-paper`` lies in [0, 1] with 1.0 for identical sets;
     ``f-paper`` tops out at (1 + beta^2) / (1 + beta) instead.
     """
+    return _reward(ref_edits, hyp_edits, frozenset(hyp_edits.edits), config)
+
+
+def _reward(
+    ref_edits: EditSet, hyp_edits: EditSet, hyp: frozenset[Edit], config: RewardConfig
+) -> float:
+    """``reward`` with the hypothesis edits already collected in ``hyp``."""
     if ref_edits.source_len != hyp_edits.source_len:
         raise ValidationError(
             f"edit sets disagree on source length: {ref_edits.source_len} vs {hyp_edits.source_len}"
@@ -55,7 +62,7 @@ def reward(ref_edits: EditSet, hyp_edits: EditSet, config: RewardConfig) -> floa
     n_hyp = len(hyp_edits)
     if n_ref == 0 and n_hyp == 0:
         return config.empty_empty_value
-    overlap = len(ref_edits.as_frozenset() & hyp_edits.as_frozenset())
+    overlap = len(hyp.intersection(ref_edits.edits))
     kind = config.kind
     if kind == "recall":
         if n_ref == 0:
@@ -81,9 +88,11 @@ def expected_reward(
 
     Members are weighted uniformly; the hypothesis may itself be a member
     (contributing 1.0 for its own term).  ``math.fsum`` keeps the mean
-    independent of member order.
+    independent of member order.  Members are counted against one set of the
+    hypothesis edits.
     """
     if not reward_set:
         raise ValueError("reward set must be non-empty")
-    total = math.fsum(reward(ref, hyp_edits, config) for ref in reward_set)
+    hyp = frozenset(hyp_edits.edits)
+    total = math.fsum(_reward(ref, hyp_edits, hyp, config) for ref in reward_set)
     return total / len(reward_set)

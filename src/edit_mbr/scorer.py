@@ -47,10 +47,10 @@ def score_sentence(hyp: EditSet, refs: Sequence[EditSet], beta: float = 0.5) -> 
     """
     if not refs:
         raise ValueError("need at least one reference annotator")
-    hyp_edits = hyp.as_frozenset()
+    hyp_edits = frozenset(hyp.edits)
     best: ScoreReport | None = None
     for ref in refs:
-        tp = len(hyp_edits & ref.as_frozenset())
+        tp = len(hyp_edits.intersection(ref.edits))
         report = _from_counts(tp, len(hyp) - tp, len(ref) - tp, beta)
         if best is None or (report.f, report.tp) > (best.f, best.tp):
             best = report

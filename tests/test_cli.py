@@ -182,6 +182,20 @@ class TestCombine:
         assert code == 1
         assert "beta" in capsys.readouterr().err
 
+    def test_infinite_beta_is_usage_error(self, corpus, tmp_path, capsys):
+        out = tmp_path / "o.txt"
+        code = self.run_combine(corpus, out, "--beta", "inf", "--report")
+        assert code == 1
+        assert "beta" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unicode_line_separator_stays_inside_its_line(self, tmp_path):
+        src = write(tmp_path / "src.txt", ["a b", "c\u2028d"])
+        hyp = write(tmp_path / "hyp.txt", ["a B", "c\u2028d e"])
+        out = tmp_path / "out.txt"
+        assert main(["combine", str(src), str(hyp), "-o", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == "a B\nc d e\n"
+
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as info:
             main([])
@@ -256,6 +270,14 @@ class TestScoreCommand:
         assert main(["score", str(src), str(hyp), str(ref), "--beta", "1.0"]) == 0
         out = capsys.readouterr().out
         assert "F1 " in out and "F0.5" not in out
+
+    @pytest.mark.parametrize("beta", ["nan", "inf", "0", "-1"])
+    def test_bad_beta_is_usage_error(self, tmp_path, capsys, beta):
+        src, hyp, ref = self.setup_scoring(tmp_path)
+        assert main(["score", str(src), str(hyp), str(ref), "--beta", beta]) == 1
+        captured = capsys.readouterr()
+        assert "beta" in captured.err
+        assert captured.out == ""
 
     def test_per_sentence_lines(self, tmp_path, capsys):
         src, hyp, ref = self.setup_scoring(tmp_path)

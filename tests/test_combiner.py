@@ -1,10 +1,11 @@
 """MBR selection, vote candidates, greedy insertion, and corpus combination."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from conftest import bf_expected, random_edit_set, random_systems
+from conftest import bf_expected, bf_vote_set, random_edit_set, random_systems
 from edit_mbr.combiner import (
     CombineConfig,
     combine_corpus,
@@ -139,6 +140,22 @@ class TestVoteCandidates:
             assert votes[0].edit_set == vote_set(sets, 1)
             assert votes[-1].edit_set == intersect(sets)
 
+    def test_every_threshold_matches_vote_set_with_priority(self):
+        rng = random.Random(71)
+        for _ in range(300):
+            n = rng.randint(1, 8)
+            systems = random_systems(rng, n_systems=n, pool_size=rng.randint(1, 10))
+            sets = [c.edit_set for c in systems]
+            priority = list(range(n))
+            rng.shuffle(priority)
+            votes = vote_candidates(systems, priority)
+            assert [c.label for c in votes] == [f"vote-{m}" for m in range(1, n + 1)]
+            for m in range(1, n + 1):
+                assert votes[m - 1].edit_set == vote_set(sets, m, priority)
+                assert votes[m - 1].edit_set == bf_vote_set(sets, m, priority)
+            assert vote_set(sets, n + 1, priority) == EditSet(sets[0].source_len)
+            assert votes[-1].edit_set == intersect(sets)
+
 
 class TestGreedyCombine:
     def test_fixture_default_pool(self):
@@ -192,6 +209,19 @@ class TestGreedyCombine:
                 if previous is not None:
                     assert step.reward_before == previous.reward_after
                 previous = step
+
+    def test_is_combine_sentence_with_greedy_strategy(self):
+        rng = random.Random(73)
+        for _ in range(150):
+            systems = random_systems(rng, n_systems=rng.randint(1, 5))
+            config = config_for(
+                rng.choice(["recall", "precision", "f", "f-paper", "jaccard"]),
+                strategy=rng.choice(["mbr", "mbr-vote", "greedy"]),
+                reward_set=rng.choice(["base", "base+votes"]),
+                greedy_pool_threshold=rng.choice([1, 2, 3]),
+            )
+            result = greedy_combine(systems, config)
+            assert result == combine_sentence(systems, replace(config, strategy="greedy"))
 
     def test_greedy_at_least_intersection(self):
         rng = random.Random(59)

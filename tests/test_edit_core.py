@@ -15,7 +15,6 @@ from edit_mbr.edit_core import (
     apply_edits,
     conflicts,
     count_votes,
-    edit_equal,
     extract_edits,
     intersect,
     tokenize,
@@ -82,13 +81,13 @@ class TestEditValidation:
 
 class TestEditEqual:
     def test_identical(self):
-        assert edit_equal(Edit(1, 2, ("B",)), Edit(1, 2, ("B",)))
+        assert Edit(1, 2, ("B",)) == Edit(1, 2, ("B",))
 
     def test_replacement_differs(self):
-        assert not edit_equal(B, X)
+        assert B != X
 
     def test_span_differs(self):
-        assert not edit_equal(Edit(1, 1, ("B",)), Edit(1, 2, ("B",)))
+        assert Edit(1, 1, ("B",)) != Edit(1, 2, ("B",))
 
 
 class TestConflicts:

@@ -81,6 +81,11 @@ class TestParse:
         entries = parse_m2(SINGLE_EDIT_M2.replace("\n", "\r\n"))
         assert entries[0].annotations[0].edits == EditSet(3, (B,))
 
+    def test_only_newline_ends_a_line(self):
+        entries = parse_m2("S a\u2028b c\nA 1 2|||UNK|||B\x0bX|||REQUIRED|||-NONE-|||0\n\n")
+        assert entries[0].source == tokenize("a b c")
+        assert entries[0].annotations[0].edits == EditSet(3, (Edit(1, 2, ("B", "X")),))
+
     def test_empty_replacement_field(self):
         entries = parse_m2("S a b c\nA 1 2|||U:DET||||||REQUIRED|||-NONE-|||0\n\n")
         assert entries[0].annotations[0].edits == EditSet(3, (Edit(1, 2, ()),))
@@ -224,3 +229,8 @@ class TestLoadParallel:
         path = tmp_path / "crlf.txt"
         path.write_bytes(b"a b\r\nc d\r\n")
         assert load_sentences(path) == [tokenize("a b"), tokenize("c d")]
+
+    def test_load_sentences_splits_on_newline_only(self, tmp_path):
+        path = tmp_path / "separators.txt"
+        path.write_text("a\u2028b\x85c\rd\r\ne\x0cf\n\n", encoding="utf-8")
+        assert load_sentences(path) == [tokenize("a b c d"), tokenize("e f"), tokenize("")]
