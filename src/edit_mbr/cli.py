@@ -5,18 +5,19 @@ malformed M2, missing files), so scripts can tell operator mistakes from
 corpus problems.  Commands that write an output file also write a JSON run
 manifest beside it (resolved configuration plus input/output SHA-256
 digests); re-running with the same inputs and configuration reproduces the
-outputs byte for byte.
+outputs byte for byte.  Every file is written through ``_publish``: outputs
+replace their targets atomically and the manifest is written last.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
 import sys
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
@@ -60,50 +61,60 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility record: resolved configuration and content digests."""
+def _replace(path, data: bytes) -> str:
+    """Write ``data`` onto ``path`` through a temporary file beside it; return its SHA-256.
 
-    version: str
-    command: str
-    config: dict
-    inputs: dict
-    outputs: dict
+    A failed write leaves ``path`` as it was.  A symlink's target is replaced,
+    not the link; a device or FIFO (say ``/dev/stderr``) is written in place.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "wb") as handle:
+            handle.write(data)
+        return hashlib.sha256(data).hexdigest()
+    path = os.path.realpath(path)
+    temp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(temp, "wb") as handle:
+            handle.write(data)
+        os.replace(temp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)
+        raise
+    return hashlib.sha256(data).hexdigest()
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
+def _publish(command: str, config: dict, inputs, outputs: dict, manifest_path) -> None:
+    """Write ``outputs`` (path -> text) and then, if ``manifest_path`` is set, the run manifest.
 
-def _sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _write_manifest(manifest_path, command: str, config: dict, inputs, outputs) -> None:
-    manifest = RunManifest(
-        version=__version__,
-        command=command,
-        config=config,
-        inputs={str(p): _sha256(p) for p in inputs},
-        outputs={str(p): _sha256(p) for p in outputs},
-    )
-    Path(manifest_path).write_text(manifest.to_json(), encoding="utf-8")
+    Input digests are taken before any output is written, so an output that
+    overwrites an input leaves the input's recorded digest as it was read.
+    """
+    manifest = manifest_path and {
+        "version": __version__,
+        "command": command,
+        "config": config,
+        "inputs": {str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in inputs},
+    }
+    digests = {str(path): _replace(path, text.encode("utf-8")) for path, text in outputs.items()}
+    if manifest:
+        manifest["outputs"] = digests
+        _replace(manifest_path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
 
 
 def _resolve_threads(flag: int) -> int:
-    """Worker thread count: the environment variable overrides the flag; 0 = all cores."""
+    """The recorded thread count: the environment variable overrides the flag; 0 = all cores.
+
+    Combination is serial whatever the count."""
     env = os.environ.get(THREADS_ENV_VAR)
     if env:
         try:
             flag = int(env)
         except ValueError:
             raise UsageError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from None
-    if flag <= 0:
-        return os.cpu_count() or 1
-    return flag
-
-
-def _write_lines(path, lines: Sequence[str]) -> None:
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    if flag < 0:
+        raise UsageError(f"thread count must be >= 0, got {flag}")
+    return flag or os.cpu_count() or 1
 
 
 def cmd_extract(args) -> int:
@@ -117,14 +128,13 @@ def cmd_extract(args) -> int:
         M2Entry(src, (Annotation(0, extract_edits(src, hyp)),))
         for src, hyp in zip(sources, hyps)
     ]
-    Path(args.out).write_text(emit_m2(entries), encoding="utf-8")
     config = {"source": args.source, "hypothesis": args.hypothesis, "out": args.out}
-    _write_manifest(
-        args.manifest or f"{args.out}.manifest.json",
+    _publish(
         "extract",
         config,
         [args.source, args.hypothesis],
-        [args.out],
+        {args.out: emit_m2(entries)},
+        args.manifest or f"{args.out}.manifest.json",
     )
     return OK
 
@@ -155,31 +165,30 @@ def cmd_combine(args) -> int:
             for entry, result in zip(corpus.entries, results)
         ]
         payload = "".join(line + "\n" for line in lines)
+    outputs = {}
     if args.out:
-        Path(args.out).write_text(payload, encoding="utf-8")
+        outputs[args.out] = payload
     else:
         sys.stdout.write(payload)
-
     if args.trace:
-        records = []
-        for index, result in enumerate(results):
-            for step in result.trace:
-                records.append(
-                    json.dumps(
-                        {
-                            "sentence": index,
-                            "edit": {
-                                "start": step.edit.start,
-                                "end": step.edit.end,
-                                "replacement": list(step.edit.replacement),
-                            },
-                            "reward_before": f"{step.reward_before:.6f}",
-                            "reward_after": f"{step.reward_after:.6f}",
-                        },
-                        sort_keys=True,
-                    )
-                )
-        _write_lines(args.trace, records)
+        outputs[args.trace] = "".join(
+            json.dumps(
+                {
+                    "sentence": index,
+                    "edit": {
+                        "start": step.edit.start,
+                        "end": step.edit.end,
+                        "replacement": list(step.edit.replacement),
+                    },
+                    "reward_before": f"{step.reward_before:.6f}",
+                    "reward_after": f"{step.reward_after:.6f}",
+                },
+                sort_keys=True,
+            )
+            + "\n"
+            for index, result in enumerate(results)
+            for step in result.trace
+        )
     if args.report:
         for index, result in enumerate(results):
             cells = " ".join(
@@ -201,14 +210,13 @@ def cmd_combine(args) -> int:
         "threads": threads,
         "trace": args.trace,
     }
-    manifest_path = args.manifest or (f"{args.out}.manifest.json" if args.out else None)
-    if manifest_path:
-        outputs = [args.out] if args.out else []
-        if args.trace:
-            outputs.append(args.trace)
-        _write_manifest(
-            manifest_path, "combine", resolved, [args.source, *args.hypotheses], outputs
-        )
+    _publish(
+        "combine",
+        resolved,
+        [args.source, *args.hypotheses],
+        outputs,
+        args.manifest or (f"{args.out}.manifest.json" if args.out else None),
+    )
     return OK
 
 
@@ -237,21 +245,14 @@ def cmd_score(args) -> int:
         for index, sentence in enumerate(report.per_sentence):
             print(f"{index} {_format_prf(sentence)}")
     print(_format_prf(report))
-    if args.manifest:
-        config = {
-            "source": args.source,
-            "hypothesis": args.hypothesis,
-            "reference": args.reference,
-            "beta": args.beta,
-            "per_sentence": args.per_sentence,
-        }
-        _write_manifest(
-            args.manifest,
-            "score",
-            config,
-            [args.source, args.hypothesis, args.reference],
-            [],
-        )
+    config = {
+        "source": args.source,
+        "hypothesis": args.hypothesis,
+        "reference": args.reference,
+        "beta": args.beta,
+        "per_sentence": args.per_sentence,
+    }
+    _publish("score", config, [args.source, args.hypothesis, args.reference], {}, args.manifest)
     return OK
 
 
@@ -259,14 +260,13 @@ def cmd_apply(args) -> int:
     sources = load_sentences(args.source)
     entries = load_matching_m2(args.m2, sources, args.source)
     lines = [apply_edits(src, primary_edit_set(entry)).text() for src, entry in zip(sources, entries)]
-    _write_lines(args.out, lines)
     config = {"source": args.source, "m2": args.m2, "out": args.out}
-    _write_manifest(
-        args.manifest or f"{args.out}.manifest.json",
+    _publish(
         "apply",
         config,
         [args.source, args.m2],
-        [args.out],
+        {args.out: "".join(line + "\n" for line in lines)},
+        args.manifest or f"{args.out}.manifest.json",
     )
     return OK
 
@@ -312,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=0,
-        help=f"sentence-level worker threads (0 = all cores); {THREADS_ENV_VAR} overrides",
+        help=f"thread count recorded in the manifest (0 = all cores); combination is "
+        f"serial; {THREADS_ENV_VAR} overrides",
     )
     p.add_argument("--manifest", help="manifest path (default: OUT.manifest.json when -o is given)")
     p.set_defaults(func=cmd_combine)

@@ -13,7 +13,6 @@ when the strategy or the reward set uses them.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .edit_core import (
@@ -174,16 +173,14 @@ def combine_sentence(systems: Sequence[Candidate], config: CombineConfig) -> Com
 def combine_corpus(
     corpus: Corpus, config: CombineConfig, threads: int = 1
 ) -> list[CombineResult]:
-    """Combine every corpus entry independently; results keep corpus order.
+    """Combine every corpus entry independently, in corpus order.
 
-    Entries must all carry the same number of systems.  ``threads`` fans the
-    per-sentence work out over a thread pool without affecting the output.
+    Entries must all carry the same number of systems.  ``threads`` is
+    accepted and does not change the work: combination is serial, because
+    the per-sentence work is pure Python and holds the interpreter lock.
     """
     entries = corpus.entries
     counts = {len(entry.systems) for entry in entries}
     if len(counts) > 1:
         raise ValidationError(f"entries disagree on system count: {sorted(counts)}")
-    if threads > 1 and len(entries) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda entry: combine_sentence(entry.systems, config), entries))
     return [combine_sentence(entry.systems, config) for entry in entries]

@@ -21,6 +21,7 @@ split lines on ``\n`` only, dropping one trailing ``\r``; other line breaks
 
 from __future__ import annotations
 
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,6 +38,8 @@ from .edit_core import (
 
 _NOOP_TYPE = "noop"
 _EMPTY_REPLACEMENT = "-NONE-"
+# Labels the combiner gives its own candidates; a system file may not take one.
+_COMBINER_LABEL = re.compile(r"greedy|vote-[0-9]+")
 
 
 class M2ParseError(ValidationError):
@@ -236,14 +239,22 @@ def emit_m2(entries: Sequence[M2Entry]) -> str:
     return "".join(blocks)
 
 
+def _read_text(path) -> str:
+    """The UTF-8 content of ``path``, with no newline translation."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+
+
 def load_sentences(path) -> list[Sentence]:
     """Read a one-sentence-per-line UTF-8 corpus."""
-    return [tokenize(line) for line in _lines(Path(path).read_bytes().decode("utf-8"))]
+    return [tokenize(line) for line in _lines(_read_text(path))]
 
 
 def load_matching_m2(path, sources: Sequence[Sentence], source_name) -> list[M2Entry]:
     """Parse an M2 file whose entries must match ``sources`` one to one."""
-    entries = parse_m2(Path(path).read_bytes().decode("utf-8"))
+    entries = parse_m2(_read_text(path))
     if len(entries) != len(sources):
         raise ValidationError(
             f"{path}: {len(entries)} entries, but {source_name} has {len(sources)} lines"
@@ -271,12 +282,13 @@ def load_hypothesis_sets(path, sources: Sequence[Sentence], source_name) -> list
 
 
 def _labels_for(paths) -> list[str]:
+    """File stems, made unique and kept apart from the combiner's own labels."""
     labels: list[str] = []
     for path in paths:
         stem = Path(path).stem or str(path)
         label = stem
         suffix = 2
-        while label in labels:
+        while label in labels or _COMBINER_LABEL.fullmatch(label):
             label = f"{stem}.{suffix}"
             suffix += 1
         labels.append(label)
@@ -287,7 +299,9 @@ def load_parallel(source_path, hyp_paths: Sequence) -> Corpus:
     """Pair line i of the source file with line i of every hypothesis file.
 
     Hypothesis edits are extracted on load; ``.m2`` hypothesis files are
-    parsed instead.  System labels come from the file stems (deduplicated).
+    parsed instead.  System labels come from the file stems, deduplicated as
+    ``stem.2``, ``stem.3``, ...; a stem equal to ``greedy`` or ``vote-<m>`` is
+    deduplicated the same way, so every label in a ``--report`` line is unique.
     """
     sources = load_sentences(source_path)
     labels = _labels_for(hyp_paths)

@@ -2,12 +2,15 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
+import edit_mbr
 from edit_mbr.cli import main
 from edit_mbr.m2_io import parse_m2
 
@@ -78,6 +81,17 @@ class TestExtractApply:
         manifest = json.loads((tmp_path / "edits.m2.manifest.json").read_text())
         assert manifest["command"] == "extract"
         assert manifest["outputs"][str(out_m2)] == digest(out_m2)
+
+    def test_manifest_input_digest_is_taken_before_an_output_overwrites_it(self, corpus, tmp_path):
+        edits = tmp_path / "edits.m2"
+        assert main(["extract", str(corpus["src"]), str(corpus["hyps"][0]), str(edits)]) == 0
+        src = corpus["src"]
+        before = digest(src)
+        assert main(["apply", str(src), str(edits), str(src)]) == 0
+        assert src.read_text() == corpus["hyps"][0].read_text()
+        manifest = json.loads((tmp_path / "src.txt.manifest.json").read_text())
+        assert manifest["inputs"][str(src)] == before
+        assert manifest["outputs"][str(src)] == digest(src) != before
 
 
 class TestCombine:
@@ -235,6 +249,49 @@ class TestCombine:
         monkeypatch.setenv("EDIT_MBR_THREADS", "many")
         assert self.run_combine(corpus, tmp_path / "o.txt") == 1
 
+    @pytest.mark.parametrize("flag, env", [("-3", ""), ("1", "-3")], ids=["flag", "env"])
+    def test_negative_threads_is_usage_error(
+        self, corpus, tmp_path, monkeypatch, capsys, flag, env
+    ):
+        monkeypatch.setenv("EDIT_MBR_THREADS", env)
+        out = tmp_path / "o.txt"
+        assert self.run_combine(corpus, out, "--threads", flag) == 1
+        assert "thread" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_replace_leaves_old_output(self, corpus, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out.txt"
+        out.write_text("old\n", encoding="utf-8")
+
+        def fail(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        assert self.run_combine(corpus, out) == 2
+        assert "replace failed" in capsys.readouterr().err
+        assert out.read_text(encoding="utf-8") == "old\n"
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_symlink_and_fifo_outputs_are_written_through(self, corpus, tmp_path):
+        real = tmp_path / "real.txt"
+        real.write_text("old\n", encoding="utf-8")
+        link = tmp_path / "link.txt"
+        link.symlink_to(real)
+        fifo = tmp_path / "trace.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        code = self.run_combine(
+            corpus, link, "--method", "greedy", "--pool-votes", "1", "--trace", str(fifo)
+        )
+        reader.join(timeout=10)
+        assert code == 0
+        assert not reader.is_alive() and fifo.is_fifo()
+        assert link.is_symlink() and real.read_text(encoding="utf-8") != "old\n"
+        manifest = json.loads((tmp_path / "link.txt.manifest.json").read_text())
+        assert manifest["outputs"][str(fifo)] == hashlib.sha256(got[0]).hexdigest()
+
 
 class TestScoreCommand:
     def setup_scoring(self, tmp_path):
@@ -310,6 +367,26 @@ class TestScoreCommand:
         assert main(["score", str(src), str(hyp), str(ref)]) == 2
 
 
+class TestBadEncoding:
+    @pytest.mark.parametrize("bad", ["hypothesis", "source", "m2"])
+    def test_non_utf8_input_is_data_error(self, corpus, tmp_path, capsys, bad):
+        src, hyp = corpus["src"], corpus["hyps"][0]
+        ref = tmp_path / "ref.m2"
+        assert main(["extract", str(src), str(hyp), str(ref)]) == 0
+        target = {"hypothesis": hyp, "source": src, "m2": ref}[bad]
+        target.write_bytes(target.read_bytes().replace(b"a", b"\xff", 1))
+        capsys.readouterr()
+        if bad == "hypothesis":
+            code = main(["combine", str(src), str(corpus["hyps"][1]), str(hyp)])
+        else:
+            code = main(["score", str(src), str(hyp), str(ref)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert str(target) in captured.err
+        assert "UTF-8" in captured.err
+        assert captured.out == ""
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_version(self):
         proc = subprocess.run(
@@ -319,3 +396,18 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert "edit-mbr" in proc.stdout
+
+    def test_import_does_not_load_concurrent_futures(self):
+        src = str(Path(edit_mbr.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, edit_mbr.cli; print('concurrent.futures' in sys.modules)",
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

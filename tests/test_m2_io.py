@@ -204,6 +204,14 @@ class TestLoadParallel:
         labels = [c.label for c in corpus.entries[0].systems]
         assert labels == ["hyp", "hyp.2"]
 
+    def test_labels_never_equal_combiner_candidate_labels(self, tmp_path):
+        src = self.write(tmp_path, "src.txt", ["a b c"])
+        names = ["vote-1", "greedy", "vote-x", *(f"sys{i}" for i in range(8))]
+        hyps = [self.write(tmp_path, f"{name}.txt", ["a B c"]) for name in names]
+        corpus = load_parallel(src, hyps)
+        labels = [c.label for c in corpus.entries[0].systems]
+        assert labels == ["vote-1.2", "greedy.2", "vote-x", *names[3:]]
+
     def test_m2_hypothesis_column(self, tmp_path):
         src = self.write(tmp_path, "src.txt", ["a b c"])
         m2 = tmp_path / "hyp.m2"
