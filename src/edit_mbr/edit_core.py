@@ -24,6 +24,23 @@ def _check_token(token: str) -> None:
         raise ValidationError(f"token contains whitespace: {token!r}")
 
 
+def _check_tokens(tokens: tuple[str, ...]) -> None:
+    """Raise ``ValidationError`` naming the first empty or whitespace token.
+
+    ``str.split()`` splits on exactly the characters ``str.isspace()`` accepts,
+    so re-splitting the joined tokens gives them back unchanged precisely when
+    every token is non-empty and whitespace-free.  Only when it does not (or a
+    token is not a ``str``) are the tokens scanned one by one for the error.
+    """
+    try:
+        if tuple(" ".join(tokens).split()) == tokens:
+            return
+    except TypeError:
+        pass
+    for token in tokens:
+        _check_token(token)
+
+
 @dataclass(frozen=True, slots=True)
 class Sentence:
     """An immutable sequence of whitespace-free tokens."""
@@ -32,8 +49,7 @@ class Sentence:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tokens", tuple(self.tokens))
-        for token in self.tokens:
-            _check_token(token)
+        _check_tokens(self.tokens)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -71,8 +87,7 @@ class Edit:
             raise ValidationError(f"bad edit span [{self.start}, {self.end})")
         if self.start == self.end and not self.replacement:
             raise ValidationError("zero-width edit with empty replacement is a no-op")
-        for token in self.replacement:
-            _check_token(token)
+        _check_tokens(self.replacement)
 
     def sort_key(self) -> tuple:
         return (self.start, self.end, self.replacement)
@@ -167,47 +182,85 @@ def extract_edits(
 
     Token-level Levenshtein alignment with unit insert/delete/substitute
     costs; backtrace ties resolve match > substitute > delete > insert, so
-    extraction is canonical.  With ``merge_adjacent`` (the default) maximal
-    runs of adjacent non-match operations collapse into single edits.
-    Otherwise every operation becomes its own edit, except insertion runs at
-    one position, which stay together because same-position insertions cannot
-    coexist in a valid edit set.
+    extraction is canonical.  The alignment is computed bit-parallel (see
+    ``_align_ops``) after stripping the common suffix, and gives the same
+    operations, hence the same edits, as the full dynamic-programming table.
+    With ``merge_adjacent`` (the default) maximal runs of adjacent non-match
+    operations collapse into single edits.  Otherwise every operation becomes
+    its own edit, except insertion runs at one position, which stay together
+    because same-position insertions cannot coexist in a valid edit set.
     """
-    src = source.tokens
     hyp = hypothesis.tokens
+    ops = _align_ops(source.tokens, hyp)
+    return EditSet(len(source), tuple(_ops_to_edits(ops, hyp, merge_adjacent)))
+
+
+def _align_ops(src: tuple[str, ...], hyp: tuple[str, ...]) -> list[str]:
+    """Canonical alignment of ``src`` to ``hyp``: "match"/"sub"/"del"/"ins" ops.
+
+    Myers' bit-parallel edit distance (Myers 1999, JACM) in Hyyrö's column
+    formulation, on Python ints: bit ``i - 1`` of a column vector stands for
+    row ``i`` (source token ``i``) of the table ``D[i][j]`` with
+    ``D[i][0] = i`` and ``D[0][j] = j``.  Per hypothesis column it keeps
+    ``vp`` (``D[i][j] - D[i-1][j] == +1``) and ``d0``
+    (``D[i][j] == D[i-1][j-1]``); every value of the table is exact, so the
+    backtrace from ``D[n][m]`` takes the same tie order (match > sub > del >
+    ins) as a full table would, reading one bit per step.
+
+    A common suffix is stripped first: where the last tokens match,
+    ``D[n][m] == D[n-1][m-1]`` and the backtrace takes the match anyway.  A
+    common prefix is not, because there the backtrace may not take it
+    (``a`` -> ``a a`` inserts at 0).
+    """
     n, m = len(src), len(hyp)
-    dp = [list(range(m + 1))] + [[i] + [0] * m for i in range(1, n + 1)]
-    for i in range(1, n + 1):
-        row = dp[i]
-        prev = dp[i - 1]
-        s_tok = src[i - 1]
-        for j in range(1, m + 1):
-            best = prev[j - 1] + (s_tok != hyp[j - 1])
-            if prev[j] + 1 < best:
-                best = prev[j] + 1
-            if row[j - 1] + 1 < best:
-                best = row[j - 1] + 1
-            row[j] = best
-    ops: list[str] = []
+    while n and m and src[n - 1] == hyp[m - 1]:
+        n -= 1
+        m -= 1
+    tail = len(src) - n
+    peq: dict[str, int] = {}
+    bit = 1
+    for token in src[:n]:
+        peq[token] = peq.get(token, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    vp, vn = mask, 0
+    vps, d0s = [vp], [0]
+    for token in hyp[:m]:
+        x = peq.get(token, 0) | vn
+        d0 = ((((x & vp) + vp) ^ vp) | x) & mask
+        hp = vn | (mask ^ (d0 | vp))
+        hn = vp & d0
+        # Shift the horizontal deltas down one row; row 0 steps by +1.
+        hp = ((hp << 1) | 1) & mask
+        hn = (hn << 1) & mask
+        vp = hn | (mask ^ (d0 | hp))
+        vn = hp & d0
+        vps.append(vp)
+        d0s.append(d0)
+    ops: list[str] = ["match"] * tail
     i, j = n, m
-    while i > 0 or j > 0:
-        here = dp[i][j]
-        if i > 0 and j > 0 and src[i - 1] == hyp[j - 1] and here == dp[i - 1][j - 1]:
+    while i and j:
+        row = 1 << (i - 1)
+        # Neighbouring cells differ by at most 1, so a match is always on an
+        # optimal path; "ins" is what is left when no other step is.
+        if src[i - 1] == hyp[j - 1]:
             ops.append("match")
             i -= 1
             j -= 1
-        elif i > 0 and j > 0 and src[i - 1] != hyp[j - 1] and here == dp[i - 1][j - 1] + 1:
+        elif not d0s[j] & row:
             ops.append("sub")
             i -= 1
             j -= 1
-        elif i > 0 and here == dp[i - 1][j] + 1:
+        elif vps[j] & row:
             ops.append("del")
             i -= 1
         else:
             ops.append("ins")
             j -= 1
+    ops.extend(["del"] * i)  # column 0: D[i][0] = i
+    ops.extend(["ins"] * j)  # row 0: D[0][j] = j
     ops.reverse()
-    return EditSet(n, tuple(_ops_to_edits(ops, hyp, merge_adjacent)))
+    return ops
 
 
 def _ops_to_edits(ops: list[str], hyp: tuple[str, ...], merge_adjacent: bool) -> list[Edit]:

@@ -14,9 +14,11 @@ span order, ``UNK`` for untyped edits), so parse(emit(x)) == x and canonical
 files re-emit byte-identically.
 
 Plain-text corpora hold one tokenized sentence per line, UTF-8.  Both formats
-split lines on ``\n`` only, dropping one trailing ``\r``; other line breaks
-(U+2028, U+0085, ``\v``, ``\f``, a lone ``\r``, ...) are whitespace to
-``str.split``, so inside a line they only separate tokens.
+drop one leading byte-order mark (U+FEFF) from a file, so a file saved with a
+BOM reads like the same file without one.  They split lines on ``\n`` only,
+dropping one trailing ``\r``; other line breaks (U+2028, U+0085, ``\v``,
+``\f``, a lone ``\r``, ...) are whitespace to ``str.split``, so inside a line
+they only separate tokens.
 """
 
 from __future__ import annotations
@@ -240,9 +242,10 @@ def emit_m2(entries: Sequence[M2Entry]) -> str:
 
 
 def _read_text(path) -> str:
-    """The UTF-8 content of ``path``, with no newline translation."""
+    """The UTF-8 content of ``path`` without one leading byte-order mark, with
+    no newline translation."""
     try:
-        return Path(path).read_bytes().decode("utf-8")
+        return Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
 

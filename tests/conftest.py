@@ -3,6 +3,8 @@
 The brute-force reward functions below recompute every quantity from
 explicit pairwise edit comparisons and the raw formulas; they deliberately
 share no code with the package so they can serve as independent oracles.
+``bf_align_ops`` is the full-table alignment the bit-parallel kernel in
+``edit_core`` replaced, kept here as its oracle.
 """
 
 import math
@@ -119,3 +121,41 @@ def bf_levenshtein(a, b) -> int:
             )
         previous = current
     return previous[-1]
+
+
+def bf_align_ops(src, hyp) -> list[str]:
+    """Alignment ops from the full O(n·m) Levenshtein table, backtraced from
+    ``dp[n][m]`` with ties resolved match > sub > del > ins."""
+    n, m = len(src), len(hyp)
+    dp = [list(range(m + 1))] + [[i] + [0] * m for i in range(1, n + 1)]
+    for i in range(1, n + 1):
+        row = dp[i]
+        prev = dp[i - 1]
+        s_tok = src[i - 1]
+        for j in range(1, m + 1):
+            best = prev[j - 1] + (s_tok != hyp[j - 1])
+            if prev[j] + 1 < best:
+                best = prev[j] + 1
+            if row[j - 1] + 1 < best:
+                best = row[j - 1] + 1
+            row[j] = best
+    ops: list[str] = []
+    i, j = n, m
+    while i > 0 or j > 0:
+        here = dp[i][j]
+        if i > 0 and j > 0 and src[i - 1] == hyp[j - 1] and here == dp[i - 1][j - 1]:
+            ops.append("match")
+            i -= 1
+            j -= 1
+        elif i > 0 and j > 0 and src[i - 1] != hyp[j - 1] and here == dp[i - 1][j - 1] + 1:
+            ops.append("sub")
+            i -= 1
+            j -= 1
+        elif i > 0 and here == dp[i - 1][j] + 1:
+            ops.append("del")
+            i -= 1
+        else:
+            ops.append("ins")
+            j -= 1
+    ops.reverse()
+    return ops

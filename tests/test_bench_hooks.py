@@ -14,7 +14,7 @@ import pytest
 from conftest import random_systems
 from edit_mbr import cli, combiner, m2_io, rewards, scorer
 from edit_mbr.combiner import CombineConfig, combine_corpus
-from edit_mbr.edit_core import Sentence
+from edit_mbr.edit_core import Sentence, tokenize
 from edit_mbr.m2_io import Corpus, CorpusEntry
 from edit_mbr.rewards import RewardConfig
 
@@ -61,3 +61,25 @@ def test_wrappers_resolve_and_trace_combine_corpus(bench_modules):
     assert counts["combiner.selection_size.total"] == sum(len(r.selection) for r in want)
     names = {span.name for span in tracer.spans()}
     assert {"combiner.combine_sentence", "rewards.expected_reward"} <= names
+
+
+def test_text_hypotheses_are_extracted_through_the_traced_name(bench_modules, tmp_path):
+    child, spans = bench_modules
+    sources = [tokenize(line) for line in ("a b c", "x y z w", "", "p q")]
+    hyp_lines = ["a B c", "x y z w", "n", "q p q r"]
+    hyp_path = tmp_path / "hyp.txt"
+    hyp_path.write_text("".join(line + "\n" for line in hyp_lines), encoding="utf-8")
+    want = m2_io.load_hypothesis_sets(hyp_path, sources, "src.txt")
+    tracer = spans.Tracer()
+    replacements = child._wrappers(tracer, cli, m2_io, combiner, rewards, scorer)
+    with spans.patched(replacements):
+        got = m2_io.load_hypothesis_sets(hyp_path, sources, "src.txt")
+    assert got == want
+    extract_spans = [span for span in tracer.spans() if span.name == "edit_core.extract_edits"]
+    assert len(extract_spans) == len(hyp_lines)
+    counts = tracer.counts()
+    assert counts["edit_core.extract_edits.dp_cells"] == sum(
+        (len(source) + 1) * (len(line.split()) + 1) for source, line in zip(sources, hyp_lines)
+    )
+    assert counts["edit_core.extract_edits.edits"] == sum(len(edit_set) for edit_set in want)
+    assert counts["edit_core.extract_edits.identical"] == 1

@@ -387,6 +387,28 @@ class TestBadEncoding:
         assert captured.out == ""
 
 
+class TestByteOrderMark:
+    BOM = b"\xef\xbb\xbf"
+
+    def test_bom_source_gives_no_spurious_edit(self, tmp_path):
+        src = tmp_path / "s.txt"
+        src.write_bytes(self.BOM + b"a b c\n")
+        hyp = write(tmp_path / "h.txt", ["a b c"])
+        out = tmp_path / "e.m2"
+        assert main(["extract", str(src), str(hyp), str(out)]) == 0
+        assert out.read_text() == "S a b c\nA -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||0\n\n"
+        manifest = json.loads((tmp_path / "e.m2.manifest.json").read_text())
+        assert manifest["inputs"][str(src)] == digest(src)
+
+    def test_bom_m2_applies(self, tmp_path):
+        src = write(tmp_path / "s.txt", ["a b c"])
+        edits = tmp_path / "e.m2"
+        edits.write_bytes(self.BOM + b"S a b c\nA 1 2|||UNK|||B|||REQUIRED|||-NONE-|||0\n\n")
+        out = tmp_path / "o.txt"
+        assert main(["apply", str(src), str(edits), str(out)]) == 0
+        assert out.read_text() == "a B c\n"
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_version(self):
         proc = subprocess.run(

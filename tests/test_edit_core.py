@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bf_levenshtein, random_edit, random_edit_set, random_sentence
+from conftest import bf_align_ops, bf_levenshtein, random_edit, random_edit_set, random_sentence
 from edit_mbr.edit_core import (
     Edit,
     EditSet,
@@ -21,6 +21,7 @@ from edit_mbr.edit_core import (
     union_resolved,
     vote_set,
 )
+from edit_mbr.edit_core import _align_ops, _ops_to_edits
 
 B = Edit(1, 2, ("B",))
 D = Edit(3, 3, ("d",))
@@ -32,6 +33,41 @@ def es(*edits, source_len=3):
 
 
 token_lists = st.lists(st.sampled_from([f"t{i}" for i in range(6)]), max_size=12)
+
+
+def oracle_edits(source, hypothesis, merge_adjacent=True):
+    ops = bf_align_ops(source.tokens, hypothesis.tokens)
+    return EditSet(len(source), tuple(_ops_to_edits(ops, hypothesis.tokens, merge_adjacent)))
+
+
+@st.composite
+def repetitive_pairs(draw):
+    """Two token lists over one 1-3 token vocabulary, up to 130 tokens each,
+    so ties are common and the bit vectors cross a 64-bit word."""
+    vocab = [f"t{i}" for i in range(draw(st.integers(1, 3)))]
+    tokens = st.lists(st.sampled_from(vocab), max_size=130)
+    return Sentence(tuple(draw(tokens))), Sentence(tuple(draw(tokens)))
+
+
+def random_pair(rng):
+    """A random source and a hypothesis that is either unrelated or a few
+    random edits away from it; every 50th pair is up to 130 tokens long."""
+    vocab = rng.randint(1, 20)
+    longest = 130 if rng.randrange(50) == 0 else 20
+    source = random_sentence(rng, 0, longest, vocab)
+    if rng.random() < 0.5:
+        return source, random_sentence(rng, 0, longest, vocab)
+    tokens = list(source.tokens)
+    for _ in range(rng.randint(0, 4)):
+        at = rng.randint(0, len(tokens))
+        kind = rng.randrange(3)
+        if kind == 0 or not tokens:
+            tokens.insert(at, f"t{rng.randrange(vocab)}")
+        elif kind == 1:
+            del tokens[min(at, len(tokens) - 1)]
+        else:
+            tokens[min(at, len(tokens) - 1)] = f"t{rng.randrange(vocab)}"
+    return source, Sentence(tuple(tokens))
 
 
 class TestSentence:
@@ -59,6 +95,50 @@ class TestSentence:
     def test_text_retokenizes_exactly(self, tokens):
         sentence = Sentence(tuple(tokens))
         assert tokenize(sentence.text()) == sentence
+
+
+class TestTokenCheck:
+    def test_split_and_isspace_agree_on_every_code_point(self):
+        # The premise of _check_tokens: str.split() splits on exactly the
+        # characters str.isspace() accepts.
+        disagree = [
+            code
+            for code in range(0x110000)
+            if (len(("x" + chr(code) + "y").split()) == 2) != chr(code).isspace()
+        ]
+        assert disagree == []
+
+    @pytest.mark.parametrize(
+        "tokens, message",
+        [
+            (("",), "tokens must be non-empty"),
+            (("a", "b c"), "token contains whitespace: 'b c'"),
+            (("a", "\u2028"), "token contains whitespace: '\\u2028'"),
+            (("a", "", "b c"), "tokens must be non-empty"),
+            (("a", "b\tc", ""), "token contains whitespace: 'b\\tc'"),
+            ((None,), "tokens must be non-empty"),
+            (("a b", 5), "token contains whitespace: 'a b'"),
+        ],
+    )
+    def test_sentence_and_edit_name_the_first_bad_token(self, tokens, message):
+        for build in (Sentence, lambda t: Edit(0, 1, t)):
+            with pytest.raises(ValidationError) as info:
+                build(tokens)
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "tokens, error, message",
+        [
+            ((5,), TypeError, "'int' object is not iterable"),
+            (("a", 1.5), TypeError, "'float' object is not iterable"),
+            ((b"ab",), AttributeError, "'int' object has no attribute 'isspace'"),
+        ],
+    )
+    def test_non_str_token_raises_as_before(self, tokens, error, message):
+        for build in (Sentence, lambda t: Edit(0, 1, t)):
+            with pytest.raises(error) as info:
+                build(tokens)
+            assert str(info.value) == message
 
 
 class TestEditValidation:
@@ -233,6 +313,49 @@ class TestExtract:
             output = apply_edits(source, edit_set)
             re_extracted = extract_edits(source, output)
             assert apply_edits(source, re_extracted) == output
+
+
+class TestAlignmentKernel:
+    """The bit-parallel alignment against the full-table oracle."""
+
+    def test_insertion_before_a_repeated_token_goes_first(self):
+        # a -> a a: the canonical alignment inserts at 0, which stripping the
+        # common prefix would get wrong (it would insert at 1).
+        assert _align_ops(("a",), ("a", "a")) == ["ins", "match"]
+        assert extract_edits(tokenize("a"), tokenize("a a")).edits == (Edit(0, 0, ("a",)),)
+
+    def test_identical_pair_is_all_matches(self):
+        tokens = tuple(f"t{i % 3}" for i in range(100))
+        assert _align_ops(tokens, tokens) == ["match"] * 100
+        assert extract_edits(Sentence(tokens), Sentence(tokens)).edits == ()
+
+    def test_empty_sides(self):
+        assert _align_ops((), ()) == []
+        assert _align_ops(("a", "b"), ()) == ["del", "del"]
+        assert _align_ops((), ("a", "b")) == ["ins", "ins"]
+
+    @given(repetitive_pairs(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracle_on_repetitive_tokens(self, pair, merge_adjacent):
+        source, hypothesis = pair
+        assert _align_ops(source.tokens, hypothesis.tokens) == bf_align_ops(
+            source.tokens, hypothesis.tokens
+        )
+        assert extract_edits(source, hypothesis, merge_adjacent) == oracle_edits(
+            source, hypothesis, merge_adjacent
+        )
+
+    def test_matches_oracle_on_random_pairs(self):
+        rng = random.Random(2309)
+        for index in range(20_000):
+            source, hypothesis = random_pair(rng)
+            merge_adjacent = index % 2 == 0
+            got = extract_edits(source, hypothesis, merge_adjacent)
+            assert got == oracle_edits(source, hypothesis, merge_adjacent), (
+                source,
+                hypothesis,
+                merge_adjacent,
+            )
 
 
 class TestApply:
