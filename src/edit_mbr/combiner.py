@@ -20,13 +20,12 @@ from .edit_core import (
     Edit,
     EditSet,
     ValidationError,
-    conflicts,
     intersect,  # traced by perfbench/child.py
     vote_set,  # traced by perfbench/child.py
     vote_sets,
 )
 from .m2_io import Corpus
-from .rewards import RewardConfig, expected_reward
+from .rewards import RewardConfig, RewardSet, expected_reward
 
 STRATEGIES = ("mbr", "mbr-vote", "greedy")
 REWARD_SET_SPECS = ("base", "base+votes")
@@ -91,10 +90,9 @@ def mbr_select(
     selection = tuple(selection_set)
     if not selection:
         raise ValueError("selection set must be non-empty")
-    references = [candidate.edit_set for candidate in reward_set]
+    table = RewardSet([candidate.edit_set for candidate in reward_set])
     scores = tuple(
-        expected_reward(candidate.edit_set, references, config.reward)
-        for candidate in selection
+        expected_reward(candidate.edit_set, table, config.reward) for candidate in selection
     )
     best = max(range(len(selection)), key=scores.__getitem__)
     return CombineResult(chosen=selection[best], selection=selection, expected_rewards=scores)
@@ -129,10 +127,12 @@ def combine_sentence(systems: Sequence[Candidate], config: CombineConfig) -> Com
     ``mbr`` selects among the systems, ``mbr-vote`` adds the vote candidates,
     and ``greedy`` also adds a grown edit set: the working set starts at
     ``vote-N`` (the intersection), the pool is ``vote-m`` at the configured
-    threshold (clamped to N) minus the working set.  Each round scores every
-    pool edit compatible with the working set and commits the insertion that
-    raises the expected reward the most, stopping when no insertion strictly
-    improves it.
+    threshold (clamped to N) minus the working set.  Both lie inside that one
+    conflict-free vote set, so no pool edit conflicts with the working set.
+    Each round scores every pool edit and commits the insertion that raises
+    the expected reward the most, stopping when no insertion strictly
+    improves it.  Candidates are scored as bitmasks over one ``RewardSet``
+    (working set plus the edit's bit); the grown ``EditSet`` is built once.
     """
     systems = list(systems)
     if not systems:
@@ -144,29 +144,27 @@ def combine_sentence(systems: Sequence[Candidate], config: CombineConfig) -> Com
     if config.strategy != "greedy":
         return mbr_select(selection, reward_cands, config)
 
-    references = [candidate.edit_set for candidate in reward_cands]
+    table = RewardSet([candidate.edit_set for candidate in reward_cands])
     working = votes[-1].edit_set
     threshold = min(config.greedy_pool_threshold, len(systems))
     pool = [edit for edit in votes[threshold - 1].edit_set if edit not in working]
-    current = expected_reward(working, references, config.reward)
+    bits = [table.bit(edit) for edit in pool]
+    current = expected_reward(working, table, config.reward)
+    mask, size = table.mask(working), len(working)
     trace: list[GreedyStep] = []
     while pool:
         best_index = -1
-        best_set: EditSet | None = None
         best_score = current
-        for index, edit in enumerate(pool):
-            if any(conflicts(edit, kept) for kept in working):
-                continue
-            candidate_set = EditSet(working.source_len, working.edits + (edit,))
-            score = expected_reward(candidate_set, references, config.reward)
+        for index, bit in enumerate(bits):
+            score = table.expected(mask | bit, size + 1, config.reward)
             if score > best_score:
-                best_index, best_set, best_score = index, candidate_set, score
+                best_index, best_score = index, score
         if best_index < 0:
             break
-        trace.append(GreedyStep(pool[best_index], current, best_score))
-        working, current = best_set, best_score
-        del pool[best_index]
-    result = mbr_select(selection + [Candidate(working, "greedy")], reward_cands, config)
+        trace.append(GreedyStep(pool.pop(best_index), current, best_score))
+        mask, size, current = mask | bits.pop(best_index), size + 1, best_score
+    grown = EditSet(working.source_len, working.edits + tuple(step.edit for step in trace))
+    result = mbr_select(selection + [Candidate(grown, "greedy")], reward_cands, config)
     return replace(result, trace=tuple(trace))
 
 

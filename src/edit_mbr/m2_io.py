@@ -134,7 +134,8 @@ def parse_m2(text: str) -> list[M2Entry]:
     """
     entries: list[M2Entry] = []
     source: Sentence | None = None
-    pending: dict[int, list[tuple[Edit, str]]] = {}
+    # Per annotator, each distinct edit with the type of its first line.
+    pending: dict[int, dict[Edit, str]] = {}
     entry_line = 0
 
     def close() -> None:
@@ -143,21 +144,15 @@ def parse_m2(text: str) -> list[M2Entry]:
             return
         annotations = []
         for annotator in sorted(pending):
-            pairs = pending[annotator]
-            unique: list[tuple[Edit, str]] = []
-            seen: set[Edit] = set()
-            for edit, type_str in pairs:
-                if edit not in seen:
-                    seen.add(edit)
-                    unique.append((edit, type_str))
-            unique.sort(key=lambda pair: pair[0].sort_key())
+            first_type = pending[annotator]
             try:
-                edit_set = EditSet(len(source), tuple(e for e, _ in unique))
+                edit_set = EditSet(len(source), tuple(first_type))
             except ValidationError as exc:
                 raise M2ParseError(
                     f"entry at line {entry_line}, annotator {annotator}: {exc}"
                 ) from exc
-            annotations.append(Annotation(annotator, edit_set, tuple(t for _, t in unique)))
+            types = tuple(first_type[edit] for edit in edit_set.edits)
+            annotations.append(Annotation(annotator, edit_set, types))
         entries.append(M2Entry(source, tuple(annotations)))
         source = None
         pending = {}
@@ -196,7 +191,7 @@ def parse_m2(text: str) -> list[M2Entry]:
             if annotator < 0:
                 raise M2ParseError(f"line {line_no}: negative annotator id {annotator}")
             if start == -1 and end == -1:
-                pending.setdefault(annotator, [])
+                pending.setdefault(annotator, {})
                 continue
             if not 0 <= start <= end <= len(source):
                 raise M2ParseError(
@@ -213,7 +208,7 @@ def parse_m2(text: str) -> list[M2Entry]:
                 edit = Edit(start, end, replacement)
             except ValidationError as exc:
                 raise M2ParseError(f"line {line_no}: {exc}") from exc
-            pending.setdefault(annotator, []).append((edit, fields[1]))
+            pending.setdefault(annotator, {}).setdefault(edit, fields[1])
         else:
             raise M2ParseError(f"line {line_no}: unrecognized line {line[:40]!r}")
     close()

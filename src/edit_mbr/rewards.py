@@ -41,28 +41,11 @@ class RewardConfig:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
-def reward(ref_edits: EditSet, hyp_edits: EditSet, config: RewardConfig) -> float:
-    """Score hypothesis edits against reference edits.
-
-    Every kind except ``f-paper`` lies in [0, 1] with 1.0 for identical sets;
-    ``f-paper`` tops out at (1 + beta^2) / (1 + beta) instead.
-    """
-    return _reward(ref_edits, hyp_edits, frozenset(hyp_edits.edits), config)
-
-
-def _reward(
-    ref_edits: EditSet, hyp_edits: EditSet, hyp: frozenset[Edit], config: RewardConfig
-) -> float:
-    """``reward`` with the hypothesis edits already collected in ``hyp``."""
-    if ref_edits.source_len != hyp_edits.source_len:
-        raise ValidationError(
-            f"edit sets disagree on source length: {ref_edits.source_len} vs {hyp_edits.source_len}"
-        )
-    n_ref = len(ref_edits)
-    n_hyp = len(hyp_edits)
+def _score(overlap: int, n_ref: int, n_hyp: int, config: RewardConfig) -> float:
+    """The configured reward of a hypothesis of ``n_hyp`` edits against a
+    reference of ``n_ref`` edits, ``overlap`` of them shared."""
     if n_ref == 0 and n_hyp == 0:
         return config.empty_empty_value
-    overlap = len(hyp.intersection(ref_edits.edits))
     kind = config.kind
     if kind == "recall":
         if n_ref == 0:
@@ -81,18 +64,79 @@ def _reward(
     return overlap / (n_ref + n_hyp - overlap)  # jaccard
 
 
+class RewardSet:
+    """One sentence's reward set as edit bitmasks.
+
+    Each distinct edit of a member gets one bit; a member is held as its mask
+    and size, so a hypothesis shares ``popcount(h & r)`` edits with it.  A
+    hypothesis edit no member holds has no bit and counts only in its size.
+    """
+
+    __slots__ = ("source_len", "_bits", "_members")
+
+    def __init__(self, reward_set: Sequence[EditSet]) -> None:
+        if not reward_set:
+            raise ValueError("reward set must be non-empty")
+        self.source_len = reward_set[0].source_len
+        bits: dict[Edit, int] = {}
+        self._members: list[tuple[int, int]] = []
+        for ref in reward_set:
+            self._check_source(ref)
+            mask = 0
+            for edit in ref.edits:
+                mask |= bits.setdefault(edit, 1 << len(bits))
+            self._members.append((mask, len(ref)))
+        self._bits = bits
+
+    def _check_source(self, edit_set: EditSet) -> None:
+        if edit_set.source_len != self.source_len:
+            raise ValidationError(
+                f"edit sets disagree on source length: {self.source_len} vs {edit_set.source_len}"
+            )
+
+    def bit(self, edit: Edit) -> int:
+        """The bit of ``edit``, or 0 when no member holds it."""
+        return self._bits.get(edit, 0)
+
+    def mask(self, edit_set: EditSet) -> int:
+        """The bits of the edits in ``edit_set`` that some member holds."""
+        self._check_source(edit_set)
+        bits = self._bits
+        mask = 0
+        for edit in edit_set.edits:
+            mask |= bits.get(edit, 0)
+        return mask
+
+    def expected(self, mask: int, n_hyp: int, config: RewardConfig) -> float:
+        """Mean reward of a hypothesis of ``n_hyp`` edits, ``mask`` of them held
+        by some member, against every member (``math.fsum`` in member order)."""
+        total = math.fsum(
+            _score((mask & ref).bit_count(), n_ref, n_hyp, config)
+            for ref, n_ref in self._members
+        )
+        return total / len(self._members)
+
+
+def reward(ref_edits: EditSet, hyp_edits: EditSet, config: RewardConfig) -> float:
+    """Score hypothesis edits against reference edits.
+
+    Every kind except ``f-paper`` lies in [0, 1] with 1.0 for identical sets;
+    ``f-paper`` tops out at (1 + beta^2) / (1 + beta) instead.
+    """
+    return expected_reward(hyp_edits, [ref_edits], config)
+
+
 def expected_reward(
-    hyp_edits: EditSet, reward_set: Sequence[EditSet], config: RewardConfig
+    hyp_edits: EditSet, reward_set: Sequence[EditSet] | RewardSet, config: RewardConfig
 ) -> float:
     """Mean reward of ``hyp_edits`` against each member of ``reward_set``.
 
-    Members are weighted uniformly; the hypothesis may itself be a member
-    (contributing 1.0 for its own term).  ``math.fsum`` keeps the mean
-    independent of member order.  Members are counted against one set of the
-    hypothesis edits.
+    Members are weighted uniformly.  The hypothesis may itself be a member; its
+    own term is then the kind's perfect-match value: 1.0, except that
+    ``f-paper`` gives (1 + beta^2) / (1 + beta) and two empty sets give
+    ``empty_empty_value``.  ``math.fsum`` keeps the mean independent of
+    member order.  A sequence of edit sets is first turned into a
+    ``RewardSet``; passing one scores against it directly.
     """
-    if not reward_set:
-        raise ValueError("reward set must be non-empty")
-    hyp = frozenset(hyp_edits.edits)
-    total = math.fsum(_reward(ref, hyp_edits, hyp, config) for ref in reward_set)
-    return total / len(reward_set)
+    table = reward_set if isinstance(reward_set, RewardSet) else RewardSet(reward_set)
+    return table.expected(table.mask(hyp_edits), len(hyp_edits), config)

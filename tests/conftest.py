@@ -4,13 +4,17 @@ The brute-force reward functions below recompute every quantity from
 explicit pairwise edit comparisons and the raw formulas; they deliberately
 share no code with the package so they can serve as independent oracles.
 ``bf_align_ops`` is the full-table alignment the bit-parallel kernel in
-``edit_core`` replaced, kept here as its oracle.
+``edit_core`` replaced, and ``bf_greedy`` the greedy loop that built and
+scored one ``EditSet`` per candidate before greedy scored bitmasks; both are
+kept here as oracles.
 """
 
 import math
 import random
 
+from edit_mbr.combiner import CombineResult, GreedyStep, vote_candidates
 from edit_mbr.edit_core import Candidate, Edit, EditSet, Sentence, conflicts
+from edit_mbr.rewards import expected_reward
 
 
 def random_sentence(rng: random.Random, min_len=0, max_len=30, vocab=20) -> Sentence:
@@ -159,3 +163,40 @@ def bf_align_ops(src, hyp) -> list[str]:
             j -= 1
     ops.reverse()
     return ops
+
+
+def bf_greedy(systems, config) -> CombineResult:
+    """Greedy combination with a fresh ``EditSet`` per candidate insertion,
+    scored against the reward set as a list of edit sets: systems, then vote
+    candidates, then the grown set are selected by first maximum."""
+    systems = list(systems)
+    votes = vote_candidates(systems)
+    reward_cands = systems + votes if config.reward_set == "base+votes" else systems
+    references = [candidate.edit_set for candidate in reward_cands]
+    working = votes[-1].edit_set
+    threshold = min(config.greedy_pool_threshold, len(systems))
+    pool = [edit for edit in votes[threshold - 1].edit_set if edit not in working]
+    current = expected_reward(working, references, config.reward)
+    trace = []
+    while pool:
+        best_index = -1
+        best_set = None
+        best_score = current
+        for index, edit in enumerate(pool):
+            if any(conflicts(edit, kept) for kept in working):
+                continue
+            candidate_set = EditSet(working.source_len, working.edits + (edit,))
+            score = expected_reward(candidate_set, references, config.reward)
+            if score > best_score:
+                best_index, best_set, best_score = index, candidate_set, score
+        if best_index < 0:
+            break
+        trace.append(GreedyStep(pool[best_index], current, best_score))
+        working, current = best_set, best_score
+        del pool[best_index]
+    selection = tuple(systems + votes + [Candidate(working, "greedy")])
+    scores = tuple(
+        expected_reward(candidate.edit_set, references, config.reward) for candidate in selection
+    )
+    best = scores.index(max(scores))
+    return CombineResult(selection[best], selection, scores, tuple(trace))

@@ -63,6 +63,27 @@ def test_wrappers_resolve_and_trace_combine_corpus(bench_modules):
     assert {"combiner.combine_sentence", "rewards.expected_reward"} <= names
 
 
+@pytest.mark.parametrize("strategy", ["mbr-vote", "greedy"])
+def test_expected_reward_spans_count_selection_candidates_and_greedy_starts(
+    bench_modules, strategy
+):
+    # Greedy scores its insertions inside one reward table, not through
+    # ``expected_reward``: each sentence calls it once per selection candidate,
+    # plus once for the greedy starting set.
+    child, spans = bench_modules
+    config = CombineConfig(
+        strategy=strategy, reward=RewardConfig(kind="f"), reward_set="base+votes"
+    )
+    data = corpus(seed=1)
+    tracer = spans.Tracer()
+    replacements = child._wrappers(tracer, cli, m2_io, combiner, rewards, scorer)
+    with spans.patched(replacements):
+        results = combine_corpus(data, config)
+    calls = sum(span.name == "rewards.expected_reward" for span in tracer.spans())
+    starts = len(data) if strategy == "greedy" else 0
+    assert calls == sum(len(result.selection) for result in results) + starts
+
+
 def test_text_hypotheses_are_extracted_through_the_traced_name(bench_modules, tmp_path):
     child, spans = bench_modules
     sources = [tokenize(line) for line in ("a b c", "x y z w", "", "p q")]

@@ -1,12 +1,14 @@
 """MBR selection, vote candidates, greedy insertion, and corpus combination."""
 
+import itertools
 import random
 from dataclasses import replace
 
 import pytest
 
-from conftest import bf_expected, bf_vote_set, random_edit_set, random_systems
+from conftest import bf_expected, bf_greedy, bf_vote_set, random_edit_set, random_systems
 from edit_mbr.combiner import (
+    REWARD_SET_SPECS,
     CombineConfig,
     combine_corpus,
     combine_sentence,
@@ -20,12 +22,13 @@ from edit_mbr.edit_core import (
     EditSet,
     Sentence,
     ValidationError,
+    conflicts,
     intersect,
     tokenize,
     vote_set,
 )
 from edit_mbr.m2_io import Corpus, CorpusEntry
-from edit_mbr.rewards import RewardConfig, expected_reward
+from edit_mbr.rewards import REWARD_KINDS, RewardConfig, expected_reward
 
 B = Edit(1, 2, ("B",))
 D = Edit(3, 3, ("d",))
@@ -157,6 +160,27 @@ class TestVoteCandidates:
             assert votes[-1].edit_set == intersect(sets)
 
 
+    def test_every_threshold_is_conflict_free_and_holds_the_intersection(self):
+        # greedy's pool (vote-T minus vote-N) and working set (vote-N) both lie
+        # in one conflict-free vote set, so no pool edit can conflict with it
+        rng = random.Random(97)
+        for _ in range(500):
+            n = rng.randint(1, 8)
+            systems = random_systems(
+                rng, source_len=rng.randint(0, 10), n_systems=n, pool_size=rng.randint(0, 10)
+            )
+            votes = vote_candidates(systems)
+            intersection = set(votes[-1].edit_set)
+            for vote in votes:
+                edits = vote.edit_set.edits
+                assert intersection <= set(edits)
+                assert not any(
+                    conflicts(first, second)
+                    for i, first in enumerate(edits)
+                    for second in edits[i + 1 :]
+                )
+
+
 class TestGreedyCombine:
     def test_fixture_default_pool(self):
         result = greedy_combine(fixture_systems(), config_for("f", strategy="greedy"))
@@ -223,6 +247,37 @@ class TestGreedyCombine:
             result = greedy_combine(systems, config)
             assert result == combine_sentence(systems, replace(config, strategy="greedy"))
 
+    def test_matches_per_candidate_edit_set_oracle_exactly(self):
+        rng = random.Random(101)
+        shapes = itertools.product(
+            range(1, 9), REWARD_KINDS, REWARD_SET_SPECS, (0.3, 0.5, 1.0, 2.0), range(16)
+        )
+        instances = insertions = 0
+        for n, kind, reward_set, beta, _ in shapes:
+            systems = random_systems(
+                rng,
+                source_len=rng.randint(0, 12),
+                n_systems=n,
+                pool_size=rng.randint(0, 10),
+                take=rng.choice([0.3, 0.45, 0.7]),
+            )
+            config = CombineConfig(
+                strategy="greedy",
+                reward=RewardConfig(kind=kind, beta=beta),
+                reward_set=reward_set,
+                greedy_pool_threshold=rng.randint(1, n + 1),
+            )
+            got = combine_sentence(systems, config)
+            want = bf_greedy(systems, config)
+            assert got.chosen == want.chosen
+            assert got.selection == want.selection
+            assert got.expected_rewards == want.expected_rewards
+            assert got.trace == want.trace
+            instances += 1
+            insertions += bool(got.trace)
+        assert instances >= 5000
+        assert insertions > 1000
+
     def test_greedy_at_least_intersection(self):
         rng = random.Random(59)
         for _ in range(150):
@@ -274,6 +329,15 @@ class TestCombineSentence:
             systems = random_systems(rng)
             config = config_for("f", strategy="greedy")
             assert combine_sentence(systems, config) == combine_sentence(systems, config)
+
+
+    @pytest.mark.parametrize("strategy", ["mbr", "mbr-vote", "greedy"])
+    @pytest.mark.parametrize("odd", [0, 2])
+    def test_source_length_mismatch_rejected(self, strategy, odd):
+        systems = fixture_systems()
+        systems[odd] = Candidate(EditSet(5, (B,)), "long")
+        with pytest.raises(ValidationError):
+            combine_sentence(systems, config_for("f", strategy=strategy))
 
 
 class TestCombineCorpus:

@@ -73,6 +73,18 @@ class TestParse:
         with pytest.raises(M2ParseError, match="annotator"):
             parse_m2("S a b c\nA 1 2|||UNK|||B|||REQUIRED|||-NONE-|||-1\n\n")
 
+    def test_repeated_edit_keeps_its_first_type_in_span_order(self):
+        text = (
+            "S a b c\n"
+            "A 2 3|||R:NOUN|||C|||REQUIRED|||-NONE-|||0\n"
+            "A 1 2|||R:VERB|||B|||REQUIRED|||-NONE-|||0\n"
+            "A 2 3|||M:DET|||C|||REQUIRED|||-NONE-|||0\n"
+            "A 1 2|||U:ADJ|||B|||REQUIRED|||-NONE-|||0\n\n"
+        )
+        annotation = parse_m2(text)[0].annotations[0]
+        assert annotation.edits == EditSet(3, (B, Edit(2, 3, ("C",))))
+        assert annotation.types == ("R:VERB", "R:NOUN")
+
     def test_missing_trailing_blank_line(self):
         entries = parse_m2("S a b c\nA 1 2|||UNK|||B|||REQUIRED|||-NONE-|||0")
         assert entries[0].annotations[0].edits == EditSet(3, (B,))

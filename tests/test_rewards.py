@@ -7,7 +7,7 @@ import pytest
 
 from conftest import bf_expected, bf_reward, random_edit_set
 from edit_mbr.edit_core import Edit, EditSet, ValidationError
-from edit_mbr.rewards import REWARD_KINDS, RewardConfig, expected_reward, reward
+from edit_mbr.rewards import REWARD_KINDS, RewardConfig, RewardSet, expected_reward, reward
 
 B = Edit(1, 2, ("B",))
 D = Edit(3, 3, ("d",))
@@ -194,3 +194,52 @@ class TestProperties:
                 got = expected_reward(hyp, refs, RewardConfig(kind=kind, beta=0.5))
                 want = bf_expected(kind, [ref.edits for ref in refs], hyp.edits, 0.5)
                 assert got == pytest.approx(want, abs=1e-12)
+
+
+class TestRewardSet:
+    def instances(self, n=300, seed=41):
+        rng = random.Random(seed)
+        for _ in range(n):
+            source_len = rng.randint(0, 10)
+            refs = [random_edit_set(rng, source_len) for _ in range(rng.randint(1, 6))]
+            # a hypothesis drawn from a member, or built anew, or empty
+            hyp = rng.choice([rng.choice(refs), random_edit_set(rng, source_len), EditSet(source_len)])
+            yield refs, hyp
+
+    def test_table_and_list_agree_with_brute_force_exactly(self):
+        for refs, hyp in self.instances():
+            table = RewardSet(refs)
+            for kind in REWARD_KINDS:
+                for beta in (0.3, 0.5, 1.0, 2.0):
+                    config = RewardConfig(kind=kind, beta=beta)
+                    from_list = expected_reward(hyp, refs, config)
+                    assert expected_reward(hyp, table, config) == from_list
+                    assert from_list == bf_expected(kind, [ref.edits for ref in refs], hyp.edits, beta)
+
+    def test_reward_is_the_one_member_case(self):
+        for refs, hyp in self.instances(200, seed=43):
+            for kind in REWARD_KINDS:
+                config = RewardConfig(kind=kind, empty_denominator_value=0.25)
+                assert reward(refs[0], hyp, config) == expected_reward(hyp, [refs[0]], config)
+
+    def test_edit_outside_every_member_counts_only_in_size(self):
+        table = RewardSet([es(B)])
+        assert table.bit(D) == 0
+        assert table.mask(es(B, D)) == table.bit(B) == table.mask(es(B))
+        assert expected_reward(es(B, D), table, RewardConfig(kind="precision")) == 0.5
+
+    def test_empty_reward_set_rejected(self):
+        with pytest.raises(ValueError, match="reward set must be non-empty"):
+            RewardSet([])
+        with pytest.raises(ValueError, match="reward set must be non-empty"):
+            expected_reward(es(B), [], RewardConfig())
+
+    def test_source_length_mismatch_rejected(self):
+        with pytest.raises(ValidationError):
+            RewardSet([es(B), EditSet(5, (B,))])
+        with pytest.raises(ValidationError):
+            RewardSet([es(B)]).mask(EditSet(5, (B,)))
+        with pytest.raises(ValidationError):
+            expected_reward(EditSet(5, (B,)), [es(B), es()], RewardConfig())
+        with pytest.raises(ValidationError):
+            expected_reward(es(B), [es(B), EditSet(5, (B,))], RewardConfig())
