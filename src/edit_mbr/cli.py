@@ -6,7 +6,9 @@ corpus problems.  Commands that write an output file also write a JSON run
 manifest beside it (resolved configuration plus input/output SHA-256
 digests); re-running with the same inputs and configuration reproduces the
 outputs byte for byte.  Every file is written through ``_publish``: outputs
-replace their targets atomically and the manifest is written last.
+replace their targets atomically and the manifest is written last.  Two
+outputs (output, trace, manifest) that name one file, or a manifest that names
+an input, are a usage error, found before any input is read.
 """
 
 from __future__ import annotations
@@ -102,6 +104,35 @@ def _publish(command: str, config: dict, inputs, outputs: dict, manifest_path) -
         _replace(manifest_path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
 
 
+def _same_file(first: str, second: str) -> bool:
+    """Whether two paths name one regular file (after symlinks; hard links by inode)."""
+    if any(os.path.exists(p) and not os.path.isfile(p) for p in (first, second)):
+        return False  # a device or FIFO is written in place, not replaced
+    if os.path.realpath(first) == os.path.realpath(second):
+        return True
+    try:
+        return os.path.samefile(first, second)
+    except OSError:
+        return False
+
+
+def _check_paths(
+    inputs: Sequence[tuple[str, str]], outputs: Sequence[tuple[str, str | None]]
+) -> None:
+    """Raise ``UsageError`` when two outputs name one file, or the manifest names an input.
+
+    Both arguments pair an argument name (``"--trace"``, ``"OUT"``) with its
+    path; an unset output is ``None``.  An output that overwrites an input is
+    allowed: input digests are taken before anything is written.
+    """
+    named = [(flag, path) for flag, path in outputs if path]
+    pairs = [(a, b) for i, a in enumerate(named) for b in named[i + 1 :]]
+    pairs += [(a, b) for a in named if a[0] == "--manifest" for b in inputs]
+    for (first_flag, first), (second_flag, second) in pairs:
+        if _same_file(first, second):
+            raise UsageError(f"{first_flag} and {second_flag} name the same file: {first}")
+
+
 def _resolve_threads(flag: int) -> int:
     """The recorded thread count: the environment variable overrides the flag; 0 = all cores.
 
@@ -118,6 +149,11 @@ def _resolve_threads(flag: int) -> int:
 
 
 def cmd_extract(args) -> int:
+    manifest = args.manifest or f"{args.out}.manifest.json"
+    _check_paths(
+        [("SOURCE", args.source), ("HYPOTHESIS", args.hypothesis)],
+        [("OUT", args.out), ("--manifest", manifest)],
+    )
     sources = load_sentences(args.source)
     hyps = load_sentences(args.hypothesis)
     if len(sources) != len(hyps):
@@ -134,12 +170,17 @@ def cmd_extract(args) -> int:
         config,
         [args.source, args.hypothesis],
         {args.out: emit_m2(entries)},
-        args.manifest or f"{args.out}.manifest.json",
+        manifest,
     )
     return OK
 
 
 def cmd_combine(args) -> int:
+    manifest = args.manifest or (f"{args.out}.manifest.json" if args.out else None)
+    _check_paths(
+        [("SOURCE", args.source), *(("HYPOTHESIS", path) for path in args.hypotheses)],
+        [("--out", args.out), ("--trace", args.trace), ("--manifest", manifest)],
+    )
     try:
         config = CombineConfig(
             strategy=args.method,
@@ -215,7 +256,7 @@ def cmd_combine(args) -> int:
         resolved,
         [args.source, *args.hypotheses],
         outputs,
-        args.manifest or (f"{args.out}.manifest.json" if args.out else None),
+        manifest,
     )
     return OK
 
@@ -228,6 +269,10 @@ def _format_prf(report: ScoreReport) -> str:
 
 
 def cmd_score(args) -> int:
+    _check_paths(
+        [("SOURCE", args.source), ("HYPOTHESIS", args.hypothesis), ("REFERENCE", args.reference)],
+        [("--manifest", args.manifest)],
+    )
     try:
         RewardConfig(beta=args.beta)  # the same beta check as combine
     except ValueError as exc:
@@ -257,6 +302,11 @@ def cmd_score(args) -> int:
 
 
 def cmd_apply(args) -> int:
+    manifest = args.manifest or f"{args.out}.manifest.json"
+    _check_paths(
+        [("SOURCE", args.source), ("M2", args.m2)],
+        [("OUT", args.out), ("--manifest", manifest)],
+    )
     sources = load_sentences(args.source)
     entries = load_matching_m2(args.m2, sources, args.source)
     lines = [apply_edits(src, primary_edit_set(entry)).text() for src, entry in zip(sources, entries)]
@@ -266,7 +316,7 @@ def cmd_apply(args) -> int:
         config,
         [args.source, args.m2],
         {args.out: "".join(line + "\n" for line in lines)},
-        args.manifest or f"{args.out}.manifest.json",
+        manifest,
     )
     return OK
 

@@ -9,8 +9,9 @@ set at every threshold; ``vote_set`` is a view of it.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 
 
 class ValidationError(ValueError):
@@ -69,28 +70,49 @@ def tokenize(text: str) -> Sentence:
     return Sentence(tuple(text.split()))
 
 
-@dataclass(frozen=True, slots=True)
-class Edit:
+class Edit(tuple):
     """Replace source tokens [start, end) with ``replacement``.
 
     ``start == end`` is a pure insertion before token ``start``; an empty
-    replacement over a non-empty span is a deletion.
+    replacement over a non-empty span is a deletion.  An edit is the tuple
+    ``(start, end, replacement)``: hashing, equality and ordering are the
+    tuple's own, so edits sort by span, then replacement.
     """
 
-    start: int
-    end: int
-    replacement: tuple[str, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "replacement", tuple(self.replacement))
-        if self.start < 0 or self.end < self.start:
-            raise ValidationError(f"bad edit span [{self.start}, {self.end})")
-        if self.start == self.end and not self.replacement:
+    def __new__(cls, start: int, end: int, replacement: Iterable[str] = ()) -> Edit:
+        replacement = tuple(replacement)
+        if start < 0 or end < start:
+            raise ValidationError(f"bad edit span [{start}, {end})")
+        if start == end and not replacement:
             raise ValidationError("zero-width edit with empty replacement is a no-op")
-        _check_tokens(self.replacement)
+        _check_tokens(replacement)
+        return tuple.__new__(cls, (start, end, replacement))
 
-    def sort_key(self) -> tuple:
-        return (self.start, self.end, self.replacement)
+    start = property(itemgetter(0))
+    end = property(itemgetter(1))
+    replacement = property(itemgetter(2))
+
+    def __repr__(self) -> str:
+        return f"Edit(start={self[0]!r}, end={self[1]!r}, replacement={self[2]!r})"
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+
+def _mask(edit: Edit) -> int:
+    """The source positions an edit occupies, as bits of an int.
+
+    Bit ``2i + 1`` stands for token ``i`` and bit ``2i`` for the gap before
+    it: a span ``[s, e)`` with ``s < e`` sets bits ``2s+1 .. 2e-1`` (its
+    tokens and the gaps strictly inside it), an insertion at ``p`` sets bit
+    ``2p``.  Two distinct edits conflict exactly when their masks intersect.
+    """
+    start, end, _ = edit
+    if start == end:
+        return 1 << (2 * start)
+    return (1 << (2 * end)) - (1 << (2 * start + 1))
 
 
 def conflicts(first: Edit, second: Edit) -> bool:
@@ -101,11 +123,7 @@ def conflicts(first: Edit, second: Edit) -> bool:
     are insertions at the same position.  Edits that merely touch at a span
     boundary are compatible.
     """
-    if first == second:
-        return False
-    if first.start < second.end and second.start < first.end:
-        return True
-    return first.start == first.end == second.start == second.end
+    return first != second and bool(_mask(first) & _mask(second))
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,19 +136,22 @@ class EditSet:
     def __post_init__(self) -> None:
         if self.source_len < 0:
             raise ValidationError("source_len must be >= 0")
-        ordered = sorted(set(self.edits), key=Edit.sort_key)
-        object.__setattr__(self, "edits", tuple(ordered))
+        object.__setattr__(self, "edits", tuple(sorted(set(self.edits))))
+        occupied = 0
+        clash = None
         for edit in self.edits:
             if edit.end > self.source_len:
                 raise ValidationError(
                     f"edit {edit!r} exceeds source length {self.source_len}"
                 )
-        for i, first in enumerate(self.edits):
-            for second in self.edits[i + 1 :]:
-                if second.start > first.end:
-                    break
-                if conflicts(first, second):
-                    raise ValidationError(f"conflicting edits: {first!r} vs {second!r}")
+            mask = _mask(edit)
+            if occupied & mask and clash is None:
+                clash = edit
+            occupied |= mask
+        if clash is not None:
+            # The earliest edit that clashes with the first clashing one.
+            partner = next(e for e in self.edits if conflicts(e, clash))
+            raise ValidationError(f"conflicting edits: {partner!r} vs {clash!r}")
 
     def __len__(self) -> int:
         return len(self.edits)
@@ -167,10 +188,10 @@ def apply_edits(source: Sentence, edits: EditSet) -> Sentence:
         )
     out: list[str] = []
     cursor = 0
-    for edit in edits:
-        out.extend(source.tokens[cursor : edit.start])
-        out.extend(edit.replacement)
-        cursor = edit.end
+    for start, end, replacement in edits:
+        out.extend(source.tokens[cursor:start])
+        out.extend(replacement)
+        cursor = end
     out.extend(source.tokens[cursor:])
     return Sentence(tuple(out))
 
@@ -333,20 +354,19 @@ def vote_sets(sets: Sequence[EditSet], priority: Sequence[int] | None = None) ->
     order = list(range(len(sets))) if priority is None else list(priority)
     if sorted(order) != list(range(len(sets))):
         raise ValueError("priority must be a permutation of the system indices")
-    rank = {system: position for position, system in enumerate(order)}
     votes: dict[Edit, int] = {}
-    best_rank: dict[Edit, int] = {}
-    for index, edit_set in enumerate(sets):
-        r = rank[index]
-        for edit in edit_set:
+    for index in order:
+        for edit in sets[index]:
             votes[edit] = votes.get(edit, 0) + 1
-            if edit not in best_rank or r < best_rank[edit]:
-                best_rank[edit] = r
-    ranked = sorted(votes, key=lambda e: (-votes[e], best_rank[e]) + e.sort_key())
+    # The sort is stable, so edits with equal votes keep insertion order: the
+    # priority of their first proposer, then span order within its edit set.
     kept: list[Edit] = []
-    for edit in ranked:
-        if not any(conflicts(edit, k) for k in kept):
+    occupied = 0
+    for edit in sorted(votes, key=votes.__getitem__, reverse=True):
+        mask = _mask(edit)
+        if not occupied & mask:
             kept.append(edit)
+            occupied |= mask
     return [
         EditSet(sets[0].source_len, tuple(e for e in kept if votes[e] >= m))
         for m in range(1, len(sets) + 1)

@@ -11,7 +11,8 @@ a blank line terminates each entry.  Replacements are space-tokenized;
 tolerant of CRLF line endings and non-canonical flag fields; emission is
 canonical (LF, ``REQUIRED``/``-NONE-`` flags, annotators ascending, edits in
 span order, ``UNK`` for untyped edits), so parse(emit(x)) == x and canonical
-files re-emit byte-identically.
+files re-emit byte-identically.  A replacement that M2 cannot hold (the lone
+token ``-NONE-``, or a token containing ``|||``) is refused on emission.
 
 Plain-text corpora hold one tokenized sentence per line, UTF-8.  Both formats
 drop one leading byte-order mark (U+FEFF) from a file, so a file saved with a
@@ -218,7 +219,7 @@ def parse_m2(text: str) -> list[M2Entry]:
 def emit_m2(entries: Sequence[M2Entry]) -> str:
     """Serialize entries to canonical M2 text (inverse of ``parse_m2``)."""
     blocks: list[str] = []
-    for entry in entries:
+    for number, entry in enumerate(entries, start=1):
         lines = ["S " + entry.source.text() if len(entry.source) else "S"]
         for ann in entry.annotations:
             if not ann.edits.edits:
@@ -228,6 +229,10 @@ def emit_m2(entries: Sequence[M2Entry]) -> str:
                 continue
             for edit, type_str in zip(ann.edits, ann.types):
                 replacement = " ".join(edit.replacement) if edit.replacement else _EMPTY_REPLACEMENT
+                if edit.replacement and (replacement == _EMPTY_REPLACEMENT or "|||" in replacement):
+                    raise ValidationError(
+                        f"entry {number}: replacement {replacement!r} cannot be written as M2"
+                    )
                 lines.append(
                     f"A {edit.start} {edit.end}|||{type_str}|||{replacement}"
                     f"|||REQUIRED|||-NONE-|||{ann.annotator}"

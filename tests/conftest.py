@@ -6,15 +6,41 @@ share no code with the package so they can serve as independent oracles.
 ``bf_align_ops`` is the full-table alignment the bit-parallel kernel in
 ``edit_core`` replaced, and ``bf_greedy`` the greedy loop that built and
 scored one ``EditSet`` per candidate before greedy scored bitmasks; both are
-kept here as oracles.
+kept here as oracles.  ``bf_conflicts`` and ``bf_first_conflict`` are the
+pairwise conflict rule and the sorted ``EditSet`` scan that occupancy masks
+replaced; every generator and oracle here uses them, not ``conflicts``.
 """
 
 import math
 import random
 
 from edit_mbr.combiner import CombineResult, GreedyStep, vote_candidates
-from edit_mbr.edit_core import Candidate, Edit, EditSet, Sentence, conflicts
+from edit_mbr.edit_core import Candidate, Edit, EditSet, Sentence
 from edit_mbr.rewards import expected_reward
+
+
+def bf_conflicts(first: Edit, second: Edit) -> bool:
+    """Distinct edits conflict when their half-open spans intersect or both
+    are insertions at one position."""
+    if first == second:
+        return False
+    if first.start < second.end and second.start < first.end:
+        return True
+    return first.start == first.end == second.start == second.end
+
+
+def bf_first_conflict(edits) -> tuple[Edit, Edit] | None:
+    """The first conflicting pair of the deduplicated edits in span order,
+    found by a pairwise scan that stops at the first edit starting past the
+    current one's end; None when there is none."""
+    ordered = sorted(set(edits), key=lambda e: (e.start, e.end, e.replacement))
+    for i, first in enumerate(ordered):
+        for second in ordered[i + 1 :]:
+            if second.start > first.end:
+                break
+            if bf_conflicts(first, second):
+                return first, second
+    return None
 
 
 def random_sentence(rng: random.Random, min_len=0, max_len=30, vocab=20) -> Sentence:
@@ -36,7 +62,7 @@ def random_edit_set(rng: random.Random, source_len: int, max_edits=4, vocab=8) -
     kept: list[Edit] = []
     for _ in range(rng.randint(0, max_edits)):
         edit = random_edit(rng, source_len, vocab)
-        if not any(edit == k or conflicts(edit, k) for k in kept):
+        if not any(edit == k or bf_conflicts(edit, k) for k in kept):
             kept.append(edit)
     return EditSet(source_len, tuple(kept))
 
@@ -51,7 +77,7 @@ def random_systems(
         kept: list[Edit] = []
         for edit in pool:
             if rng.random() < take and not any(
-                edit == k or conflicts(edit, k) for k in kept
+                edit == k or bf_conflicts(edit, k) for k in kept
             ):
                 kept.append(edit)
         systems.append(Candidate(EditSet(source_len, tuple(kept)), f"sys{index}"))
@@ -75,7 +101,7 @@ def bf_vote_set(sets, min_votes, priority=None) -> EditSet:
     )
     kept: list[Edit] = []
     for edit in eligible:
-        if not any(conflicts(edit, k) for k in kept):
+        if not any(bf_conflicts(edit, k) for k in kept):
             kept.append(edit)
     return EditSet(sets[0].source_len, tuple(kept))
 
@@ -183,7 +209,7 @@ def bf_greedy(systems, config) -> CombineResult:
         best_set = None
         best_score = current
         for index, edit in enumerate(pool):
-            if any(conflicts(edit, kept) for kept in working):
+            if any(bf_conflicts(edit, kept) for kept in working):
                 continue
             candidate_set = EditSet(working.source_len, working.edits + (edit,))
             score = expected_reward(candidate_set, references, config.reward)

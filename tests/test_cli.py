@@ -1,18 +1,24 @@
 """End-to-end CLI behavior: subcommands, exit codes, manifests, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import edit_mbr
 from edit_mbr.cli import main
-from edit_mbr.m2_io import parse_m2
+from edit_mbr.m2_io import load_sentences, parse_m2
 
 SRC_LINES = ["a b c", "x y z", "p q"]
 HYP1_LINES = ["a B c", "x y z w", "p q"]
@@ -74,6 +80,15 @@ class TestExtractApply:
         bad.write_text("S a b c\nA 9 9|||UNK|||x|||REQUIRED|||-NONE-|||0\n\n")
         src = write(tmp_path / "one.txt", ["a b c"])
         assert main(["apply", str(src), str(bad), str(tmp_path / "o.txt")]) == 2
+
+    @pytest.mark.parametrize("token", ["|||", "x|||y", "-NONE-"])
+    def test_replacement_m2_cannot_hold_is_data_error(self, tmp_path, capsys, token):
+        src = write(tmp_path / "s.txt", ["a b c"])
+        hyp = write(tmp_path / "h.txt", [f"a {token} c"])
+        out = tmp_path / "e.m2"
+        assert main(["extract", str(src), str(hyp), str(out)]) == 2
+        assert "cannot be written as M2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_manifest_written(self, corpus, tmp_path):
         out_m2 = tmp_path / "edits.m2"
@@ -407,6 +422,156 @@ class TestByteOrderMark:
         out = tmp_path / "o.txt"
         assert main(["apply", str(src), str(edits), str(out)]) == 0
         assert out.read_text() == "a B c\n"
+
+
+class TestCollidingPaths:
+    """Two outputs naming one file, or a manifest naming an input, exit 1 before
+    anything is read, printed or written."""
+
+    def check_refused(self, argv, flags, capsys, tmp_path):
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        assert main([str(arg) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("edit-mbr: error: ")
+        assert all(flag in captured.err for flag in flags)
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_extract_out_is_manifest(self, corpus, tmp_path, capsys):
+        out = tmp_path / "e.m2"
+        argv = ["extract", corpus["src"], corpus["hyps"][0], out, "--manifest", out]
+        self.check_refused(argv, ["OUT", "--manifest"], capsys, tmp_path)
+
+    def test_combine_out_is_trace(self, corpus, tmp_path, capsys):
+        out = tmp_path / "o.txt"
+        argv = ["combine", corpus["src"], *corpus["hyps"], "--method", "greedy"]
+        argv += ["-o", out, "--trace", out]
+        self.check_refused(argv, ["--out", "--trace"], capsys, tmp_path)
+
+    def test_combine_trace_is_default_manifest(self, corpus, tmp_path, capsys):
+        argv = ["combine", corpus["src"], *corpus["hyps"], "-o", tmp_path / "o.txt"]
+        argv += ["--trace", tmp_path / "o.txt.manifest.json"]
+        self.check_refused(argv, ["--trace", "--manifest"], capsys, tmp_path)
+
+    def test_combine_manifest_through_symlink_and_hard_link(self, corpus, tmp_path, capsys):
+        out = tmp_path / "o.txt"
+        out.write_text("old\n", encoding="utf-8")
+        (tmp_path / "soft.txt").symlink_to(out)
+        os.link(out, tmp_path / "hard.txt")
+        for alias in ("soft.txt", "hard.txt"):
+            argv = ["combine", corpus["src"], *corpus["hyps"], "-o", out]
+            argv += ["--manifest", tmp_path / alias]
+            self.check_refused(argv, ["--out", "--manifest"], capsys, tmp_path)
+
+    def test_score_manifest_is_reference(self, corpus, tmp_path, capsys):
+        ref = tmp_path / "ref.m2"
+        assert main(["extract", str(corpus["src"]), str(corpus["hyps"][0]), str(ref)]) == 0
+        argv = ["score", corpus["src"], corpus["hyps"][1], ref, "--manifest", ref]
+        self.check_refused(argv, ["--manifest", "REFERENCE"], capsys, tmp_path)
+
+    def test_apply_out_is_manifest(self, corpus, tmp_path, capsys):
+        edits = tmp_path / "e.m2"
+        assert main(["extract", str(corpus["src"]), str(corpus["hyps"][0]), str(edits)]) == 0
+        out = tmp_path / "o.txt"
+        argv = ["apply", corpus["src"], edits, out, "--manifest", out]
+        self.check_refused(argv, ["OUT", "--manifest"], capsys, tmp_path)
+
+    def test_device_outputs_are_not_compared(self, corpus, tmp_path):
+        argv = ["combine", str(corpus["src"]), *map(str, corpus["hyps"]), "--method", "greedy"]
+        argv += ["-o", os.devnull, "--trace", os.devnull]
+        assert main(argv + ["--manifest", str(tmp_path / "m.json")]) == 0
+
+    def test_output_may_still_overwrite_an_input(self, corpus, tmp_path):
+        hyp = corpus["hyps"][0]
+        assert main(["combine", str(corpus["src"]), str(hyp), "-o", str(hyp)]) == 0
+        assert main(["combine", str(corpus["src"]), str(hyp), "--trace", str(hyp)]) == 0
+
+
+_PIECES = ["a", "b", "c", "B", "é", "", "  ", "\t", "\r", "\ufeff", "\u2028", "S", "A", "|||"]
+_text_line = st.lists(st.sampled_from(_PIECES), max_size=5).map(" ".join)
+_span = st.sampled_from(["0", "1", "2", "3", "-1", "-2", "9", "x", "1.5", "9" * 40, ""])
+_a_line = st.builds(
+    "A {} {}|||{}|||{}|||REQUIRED|||-NONE-|||{}".format,
+    _span,
+    _span,
+    st.sampled_from(["UNK", "noop", ""]),
+    st.sampled_from(["x", "-NONE-", "", "a b", "x\ty", "é"]),
+    st.sampled_from(["0", "1", "-1", "x", ""]),
+)
+_m2_line = st.one_of(
+    st.just("S a b c"),
+    _text_line.map("S {}".format),
+    _a_line,
+    st.sampled_from(["A", "A 1|||broken", "", "\r", "S"]),
+    _text_line,
+)
+
+
+def _encode(draw, lines) -> bytes:
+    data = "\n".join(lines).encode() + draw(st.sampled_from([b"", b"\n", b"\r\n"]))
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    if draw(st.integers(0, 9)) == 0:
+        data += b"\xff"
+    return data
+
+
+@st.composite
+def _corpus(draw):
+    """Source, hypothesis and M2 bytes.  The hypothesis usually has the
+    source's line count, and the M2 file usually follows the source entry by
+    entry, so that malformed lines get past the line-count and source checks."""
+    source = draw(st.lists(_text_line, max_size=3))
+    same_count = st.lists(_text_line, min_size=len(source), max_size=len(source))
+    hypothesis = draw(st.one_of(same_count, same_count, st.lists(_text_line, max_size=3)))
+    if draw(st.booleans()):
+        m2 = draw(st.lists(_m2_line, max_size=6))
+    else:
+        m2 = []
+        for line in source:
+            m2 += [f"S {line}", *draw(st.lists(_a_line, max_size=2)), ""]
+    return _encode(draw, source), _encode(draw, hypothesis), _encode(draw, m2)
+
+
+_SCORE_LINE = re.compile(r"P \d\.\d{4} R \d\.\d{4} F0\.5 \d\.\d{4}")
+
+
+class TestFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        command=st.sampled_from(["extract", "combine", "combine-m2", "score", "apply"]),
+        method=st.sampled_from(["mbr", "mbr-vote", "greedy"]),
+        corpus=_corpus(),
+    )
+    def test_malformed_input_exits_cleanly(self, command, method, corpus):
+        """Exit 0 with output that reads back, or exit 1 or 2 with a message."""
+        source, hypothesis, m2 = corpus
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            src, hyp, ref, out = (root / n for n in ("src.txt", "hyp.txt", "sys.m2", "out"))
+            src.write_bytes(source)
+            hyp.write_bytes(hypothesis)
+            ref.write_bytes(m2)
+            argv = {
+                "extract": ["extract", src, hyp, out],
+                "combine": ["combine", src, hyp, ref, "-o", out, "--method", method],
+                "combine-m2": ["combine", src, hyp, "--out-format", "m2", "-o", out],
+                "score": ["score", src, hyp, ref],
+                "apply": ["apply", src, ref, out],
+            }[command]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main([str(arg) for arg in argv])
+            if code != 0:
+                assert code in (1, 2)
+                assert stderr.getvalue().startswith("edit-mbr: error: ")
+                return
+            if command == "score":
+                assert _SCORE_LINE.fullmatch(stdout.getvalue().splitlines()[-1])
+            elif command in ("extract", "combine-m2"):
+                assert len(parse_m2(out.read_text(encoding="utf-8"))) == len(load_sentences(src))
+            else:
+                assert len(load_sentences(out)) == len(load_sentences(src))
 
 
 class TestModuleEntryPoint:

@@ -1,12 +1,23 @@
 """Sentences, edits, edit sets, extraction, application, and set algebra."""
 
+import copy
+import itertools
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bf_align_ops, bf_levenshtein, random_edit, random_edit_set, random_sentence
+from conftest import (
+    bf_align_ops,
+    bf_conflicts,
+    bf_first_conflict,
+    bf_levenshtein,
+    random_edit,
+    random_edit_set,
+    random_sentence,
+)
 from edit_mbr.edit_core import (
     Edit,
     EditSet,
@@ -159,6 +170,56 @@ class TestEditValidation:
             Edit(0, 1, ("a b",))
 
 
+class TestEditValue:
+    def test_is_a_slotted_tuple(self):
+        edit = Edit(1, 2, ["a"])
+        assert isinstance(edit, tuple) and Edit.__slots__ == ()
+        assert not hasattr(edit, "__dict__")
+        assert edit == (1, 2, ("a",)) and len(edit) == 3
+        assert hash(edit) == hash((1, 2, ("a",)))
+        with pytest.raises(AttributeError):
+            edit.start = 0
+
+    def test_repr(self):
+        assert repr(Edit(1, 2, ("a",))) == "Edit(start=1, end=2, replacement=('a',))"
+        assert repr(Edit(0, 3)) == "Edit(start=0, end=3, replacement=())"
+
+    def test_keyword_construction(self):
+        edit = Edit(start=1, end=2, replacement=iter(["a", "b"]))
+        assert (edit.start, edit.end, edit.replacement) == (1, 2, ("a", "b"))
+        assert edit == Edit(1, 2, ("a", "b"))
+        assert Edit(end=3, start=0).replacement == ()
+
+    @pytest.mark.parametrize(
+        "clone", [lambda e: pickle.loads(pickle.dumps(e)), copy.copy, copy.deepcopy]
+    )
+    def test_pickle_and_copy_round_trip(self, clone):
+        for edit in (Edit(1, 2, ("a",)), Edit(0, 0, ("x", "y")), Edit(2, 4)):
+            twin = clone(edit)
+            assert twin == edit and type(twin) is Edit
+            assert repr(twin) == repr(edit)
+
+    def test_order_is_start_end_replacement(self):
+        rng = random.Random(11)
+        edits = [random_edit(rng, 6, vocab=3) for _ in range(400)]
+        assert sorted(edits) == sorted(edits, key=lambda e: (e.start, e.end, e.replacement))
+
+    @pytest.mark.parametrize(
+        "args, error, message",
+        [
+            ((-1, 0, 5), TypeError, "'int' object is not iterable"),
+            ((-1, 0, ("a b",)), ValidationError, "bad edit span [-1, 0)"),
+            ((2, 1, ()), ValidationError, "bad edit span [2, 1)"),
+            ((1, 1, ()), ValidationError, "zero-width edit with empty replacement is a no-op"),
+            ((1, 1, ("a", "")), ValidationError, "tokens must be non-empty"),
+        ],
+    )
+    def test_first_failing_check_decides_the_error(self, args, error, message):
+        with pytest.raises(error) as info:
+            Edit(*args)
+        assert type(info.value) is error and str(info.value) == message
+
+
 class TestEditEqual:
     def test_identical(self):
         assert Edit(1, 2, ("B",)) == Edit(1, 2, ("B",))
@@ -200,6 +261,19 @@ class TestConflicts:
             b = random_edit(rng, 8)
             assert conflicts(a, b) == conflicts(b, a)
 
+    def test_masks_agree_with_pairwise_rule_on_every_small_edit(self):
+        replacements = [(), ("a",), ("b",), ("a", "b")]
+        edits = [
+            Edit(start, end, replacement)
+            for start in range(7)
+            for end in range(start, 7)
+            for replacement in replacements
+            if start < end or replacement
+        ]
+        assert len(edits) == 105
+        for first, second in itertools.product(edits, repeat=2):
+            assert conflicts(first, second) == bf_conflicts(first, second), (first, second)
+
 
 class TestEditSet:
     def test_sorts_and_dedupes(self):
@@ -215,6 +289,32 @@ class TestEditSet:
             EditSet(3, (B, X))
         message = str(info.value)
         assert "B" in message and "X" in message
+
+    def test_range_error_wins_over_an_earlier_conflict(self):
+        edits = (Edit(0, 2, ("a",)), Edit(1, 2, ("b",)), Edit(3, 3, ("c",)))
+        with pytest.raises(ValidationError) as info:
+            EditSet(2, edits)
+        assert str(info.value) == (
+            "edit Edit(start=3, end=3, replacement=('c',)) exceeds source length 2"
+        )
+
+    def test_accepts_and_names_pairs_as_the_pairwise_scan(self):
+        rng = random.Random(23)
+        outcomes = {True: 0, False: 0}
+        for _ in range(12_000):
+            source_len = rng.randint(0, 8)
+            edits = [random_edit(rng, source_len, vocab=3) for _ in range(rng.randint(0, 6))]
+            pair = bf_first_conflict(edits)
+            outcomes[pair is None] += 1
+            if pair is None:
+                assert EditSet(source_len, tuple(edits)).edits == tuple(
+                    sorted(set(edits), key=lambda e: (e.start, e.end, e.replacement))
+                )
+                continue
+            with pytest.raises(ValidationError) as info:
+                EditSet(source_len, tuple(edits))
+            assert str(info.value) == f"conflicting edits: {pair[0]!r} vs {pair[1]!r}"
+        assert min(outcomes.values()) > 3_000
 
     def test_rejects_non_adjacent_conflict(self):
         # sorted neighbours are fine, the conflict is one apart

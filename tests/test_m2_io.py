@@ -134,6 +134,19 @@ class TestEmit:
         entry = M2Entry(tokenize("a b c"), (deletion,))
         assert "|||-NONE-|||REQUIRED" in emit_m2([entry])
 
+    @pytest.mark.parametrize("replacement", [("-NONE-",), ("a|||b",), ("x", "|||")])
+    def test_refuses_replacement_m2_cannot_hold(self, replacement):
+        plain = Annotation(0, EditSet(3, (B,)))
+        bad = Annotation(0, EditSet(3, (Edit(1, 2, replacement),)))
+        entries = [M2Entry(tokenize("a b c"), (plain,)), M2Entry(tokenize("a b c"), (bad,))]
+        with pytest.raises(ValidationError, match="^entry 2: replacement .* cannot be written"):
+            emit_m2(entries)
+
+    def test_none_marker_inside_a_longer_replacement_round_trips(self):
+        edits = EditSet(3, (Edit(1, 2, ("x", "-NONE-")),))
+        entry = M2Entry(tokenize("a b c"), (Annotation(0, edits),))
+        assert parse_m2(emit_m2([entry])) == [entry]
+
     def test_round_trip_random_entries(self):
         rng = random.Random(83)
         types = ["UNK", "R:VERB", "M:DET", "U:PREP", "R:ORTH"]
