@@ -8,7 +8,9 @@ digests); re-running with the same inputs and configuration reproduces the
 outputs byte for byte.  Every file is written through ``_publish``: outputs
 replace their targets atomically and the manifest is written last.  Two
 outputs (output, trace, manifest) that name one file, or a manifest that names
-an input, are a usage error, found before any input is read.
+an input, are a usage error, found before any input is read; so is
+``combine --report`` without ``-o``, which would mix the report into the
+output on standard output.
 """
 
 from __future__ import annotations
@@ -176,6 +178,10 @@ def cmd_extract(args) -> int:
 
 
 def cmd_combine(args) -> int:
+    if args.report and not args.out:
+        raise UsageError(
+            "--report needs -o/--out: without it the report and the output share stdout"
+        )
     manifest = args.manifest or (f"{args.out}.manifest.json" if args.out else None)
     _check_paths(
         [("SOURCE", args.source), *(("HYPOTHESIS", path) for path in args.hypotheses)],
@@ -356,7 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--reward-set", choices=REWARD_SET_SPECS, default="base")
     p.add_argument("--out-format", choices=("text", "m2"), default="text")
-    p.add_argument("--report", action="store_true", help="print per-candidate expected rewards")
+    p.add_argument(
+        "--report", action="store_true", help="print per-candidate expected rewards (needs -o)"
+    )
     p.add_argument("--trace", help="write one JSONL record per greedy insertion to this path")
     p.add_argument(
         "--threads",

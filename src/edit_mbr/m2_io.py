@@ -123,8 +123,21 @@ def primary_edit_set(entry: M2Entry) -> EditSet:
 
 def _lines(text: str) -> list[str]:
     """Split on ``\n`` only (a final ``\n`` ends the last line); drop one trailing ``\r``."""
-    lines = [line.removesuffix("\r") for line in text.split("\n")]
+    lines = text.split("\n")
+    if "\r" in text:
+        lines = [line.removesuffix("\r") for line in lines]
     return lines[:-1] if lines[-1] == "" else lines
+
+
+def _annotator_id(field: str, line_no: int) -> int:
+    """The annotator id an ``A`` line's last field holds: an integer >= 0."""
+    try:
+        annotator = int(field.strip())
+    except ValueError as exc:
+        raise M2ParseError(f"line {line_no}: non-integer annotator id") from exc
+    if annotator < 0:
+        raise M2ParseError(f"line {line_no}: negative annotator id {annotator}")
+    return annotator
 
 
 def parse_m2(text: str) -> list[M2Entry]:
@@ -132,11 +145,22 @@ def parse_m2(text: str) -> list[M2Entry]:
 
     Raises ``M2ParseError`` (with a line number) for malformed lines,
     out-of-range edit spans, or overlapping edits within one annotator.
+
+    Each distinct annotation line is validated once per entry: a line whose
+    text before its last ``|||`` (everything but the annotator id) repeats an
+    earlier valid edit line of the same entry checks only its own annotator
+    field and shares that line's ``Edit``.  The entry's source, and with it
+    the range check, is the same for both lines, so errors, their line
+    numbers and the entries returned are those of checking every line in full.
     """
     entries: list[M2Entry] = []
     source: Sentence | None = None
+    source_len = 0
     # Per annotator, each distinct edit with the type of its first line.
     pending: dict[int, dict[Edit, str]] = {}
+    # Valid edit lines of the current entry: text before the last '|||' ->
+    # (edit, type).  Empty whenever ``source`` is None.
+    parsed: dict[str, tuple[Edit, str]] = {}
     entry_line = 0
 
     def close() -> None:
@@ -147,30 +171,30 @@ def parse_m2(text: str) -> list[M2Entry]:
         for annotator in sorted(pending):
             first_type = pending[annotator]
             try:
-                edit_set = EditSet(len(source), tuple(first_type))
+                edit_set = EditSet(source_len, tuple(first_type))
             except ValidationError as exc:
                 raise M2ParseError(
                     f"entry at line {entry_line}, annotator {annotator}: {exc}"
                 ) from exc
-            types = tuple(first_type[edit] for edit in edit_set.edits)
+            types = tuple(map(first_type.__getitem__, edit_set.edits))
             annotations.append(Annotation(annotator, edit_set, types))
         entries.append(M2Entry(source, tuple(annotations)))
         source = None
         pending = {}
+        parsed.clear()
 
     for line_no, line in enumerate(_lines(text), start=1):
-        if not line.strip():
-            close()
-            continue
-        if line == "S" or line.startswith("S "):
-            close()
-            try:
-                source = Sentence(tuple(line[2:].split()))
-            except ValidationError as exc:
-                raise M2ParseError(f"line {line_no}: {exc}") from exc
-            pending = {}
-            entry_line = line_no
-        elif line.startswith("A "):
+        if line.startswith("A "):
+            # A line that passed every check has an integer, so '|'-free,
+            # sixth field: its last '|||' is its fifth separator, and a later
+            # line with the same key splits into the same first five fields.
+            key, _, annotator_field = line.rpartition("|||")
+            hit = parsed.get(key)
+            if hit is not None:
+                edit, type_str = hit
+                annotator = _annotator_id(annotator_field, line_no)
+                pending.setdefault(annotator, {}).setdefault(edit, type_str)
+                continue
             if source is None:
                 raise M2ParseError(f"line {line_no}: annotation line before any source line")
             fields = line[2:].split("|||")
@@ -185,19 +209,14 @@ def parse_m2(text: str) -> list[M2Entry]:
                 start, end = int(span[0]), int(span[1])
             except ValueError as exc:
                 raise M2ParseError(f"line {line_no}: non-integer edit span") from exc
-            try:
-                annotator = int(fields[5].strip())
-            except ValueError as exc:
-                raise M2ParseError(f"line {line_no}: non-integer annotator id") from exc
-            if annotator < 0:
-                raise M2ParseError(f"line {line_no}: negative annotator id {annotator}")
+            annotator = _annotator_id(fields[5], line_no)
             if start == -1 and end == -1:
                 pending.setdefault(annotator, {})
                 continue
-            if not 0 <= start <= end <= len(source):
+            if not 0 <= start <= end <= source_len:
                 raise M2ParseError(
                     f"line {line_no}: edit span {start} {end} out of range for "
-                    f"source of {len(source)} tokens"
+                    f"source of {source_len} tokens"
                 )
             replacement_field = fields[2]
             replacement = (
@@ -209,7 +228,19 @@ def parse_m2(text: str) -> list[M2Entry]:
                 edit = Edit(start, end, replacement)
             except ValidationError as exc:
                 raise M2ParseError(f"line {line_no}: {exc}") from exc
+            parsed[key] = edit, fields[1]
             pending.setdefault(annotator, {}).setdefault(edit, fields[1])
+        elif not line.strip():
+            close()
+        elif line == "S" or line.startswith("S "):
+            close()
+            try:
+                source = Sentence(tuple(line[2:].split()))
+            except ValidationError as exc:
+                raise M2ParseError(f"line {line_no}: {exc}") from exc
+            source_len = len(source)
+            pending = {}
+            entry_line = line_no
         else:
             raise M2ParseError(f"line {line_no}: unrecognized line {line[:40]!r}")
     close()

@@ -9,13 +9,17 @@ scored one ``EditSet`` per candidate before greedy scored bitmasks; both are
 kept here as oracles.  ``bf_conflicts`` and ``bf_first_conflict`` are the
 pairwise conflict rule and the sorted ``EditSet`` scan that occupancy masks
 replaced; every generator and oracle here uses them, not ``conflicts``.
+``bf_parse_m2`` is the M2 parser from before annotation lines were memoized
+per entry: it splits and checks every line in full, on lines from
+``bf_lines``, the line splitter of that time.
 """
 
 import math
 import random
 
 from edit_mbr.combiner import CombineResult, GreedyStep, vote_candidates
-from edit_mbr.edit_core import Candidate, Edit, EditSet, Sentence
+from edit_mbr.edit_core import Candidate, Edit, EditSet, Sentence, ValidationError
+from edit_mbr.m2_io import _EMPTY_REPLACEMENT, Annotation, M2Entry, M2ParseError
 from edit_mbr.rewards import expected_reward
 
 
@@ -226,3 +230,98 @@ def bf_greedy(systems, config) -> CombineResult:
     )
     best = scores.index(max(scores))
     return CombineResult(selection[best], selection, scores, tuple(trace))
+
+
+def bf_lines(text: str) -> list[str]:
+    """Split on ``\n`` only (a final ``\n`` ends the last line); drop one trailing ``\r``."""
+    lines = [line.removesuffix("\r") for line in text.split("\n")]
+    return lines[:-1] if lines[-1] == "" else lines
+
+
+def bf_parse_m2(text: str) -> list[M2Entry]:
+    """Parse M2 file content into entries, checking every line in full.
+
+    Raises ``M2ParseError`` (with a line number) for malformed lines,
+    out-of-range edit spans, or overlapping edits within one annotator.
+    """
+    entries: list[M2Entry] = []
+    source: Sentence | None = None
+    # Per annotator, each distinct edit with the type of its first line.
+    pending: dict[int, dict[Edit, str]] = {}
+    entry_line = 0
+
+    def close() -> None:
+        nonlocal source, pending
+        if source is None:
+            return
+        annotations = []
+        for annotator in sorted(pending):
+            first_type = pending[annotator]
+            try:
+                edit_set = EditSet(len(source), tuple(first_type))
+            except ValidationError as exc:
+                raise M2ParseError(
+                    f"entry at line {entry_line}, annotator {annotator}: {exc}"
+                ) from exc
+            types = tuple(first_type[edit] for edit in edit_set.edits)
+            annotations.append(Annotation(annotator, edit_set, types))
+        entries.append(M2Entry(source, tuple(annotations)))
+        source = None
+        pending = {}
+
+    for line_no, line in enumerate(bf_lines(text), start=1):
+        if not line.strip():
+            close()
+            continue
+        if line == "S" or line.startswith("S "):
+            close()
+            try:
+                source = Sentence(tuple(line[2:].split()))
+            except ValidationError as exc:
+                raise M2ParseError(f"line {line_no}: {exc}") from exc
+            pending = {}
+            entry_line = line_no
+        elif line.startswith("A "):
+            if source is None:
+                raise M2ParseError(f"line {line_no}: annotation line before any source line")
+            fields = line[2:].split("|||")
+            if len(fields) != 6:
+                raise M2ParseError(
+                    f"line {line_no}: expected 6 '|||'-separated fields, got {len(fields)}"
+                )
+            span = fields[0].split()
+            if len(span) != 2:
+                raise M2ParseError(f"line {line_no}: edit span must be two integers")
+            try:
+                start, end = int(span[0]), int(span[1])
+            except ValueError as exc:
+                raise M2ParseError(f"line {line_no}: non-integer edit span") from exc
+            try:
+                annotator = int(fields[5].strip())
+            except ValueError as exc:
+                raise M2ParseError(f"line {line_no}: non-integer annotator id") from exc
+            if annotator < 0:
+                raise M2ParseError(f"line {line_no}: negative annotator id {annotator}")
+            if start == -1 and end == -1:
+                pending.setdefault(annotator, {})
+                continue
+            if not 0 <= start <= end <= len(source):
+                raise M2ParseError(
+                    f"line {line_no}: edit span {start} {end} out of range for "
+                    f"source of {len(source)} tokens"
+                )
+            replacement_field = fields[2]
+            replacement = (
+                ()
+                if replacement_field in (_EMPTY_REPLACEMENT, "")
+                else tuple(replacement_field.split())
+            )
+            try:
+                edit = Edit(start, end, replacement)
+            except ValidationError as exc:
+                raise M2ParseError(f"line {line_no}: {exc}") from exc
+            pending.setdefault(annotator, {}).setdefault(edit, fields[1])
+        else:
+            raise M2ParseError(f"line {line_no}: unrecognized line {line[:40]!r}")
+    close()
+    return entries

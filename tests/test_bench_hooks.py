@@ -104,3 +104,44 @@ def test_text_hypotheses_are_extracted_through_the_traced_name(bench_modules, tm
     )
     assert counts["edit_core.extract_edits.edits"] == sum(len(edit_set) for edit_set in want)
     assert counts["edit_core.extract_edits.identical"] == 1
+
+
+REFERENCE_M2 = """\
+S a b c
+A 1 2|||R:NOUN|||B|||REQUIRED|||-NONE-|||0
+A 1 2|||R:NOUN|||B|||REQUIRED|||-NONE-|||1
+
+S x y
+A -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||0
+
+S p q r s
+A 0 1|||U:DET|||-NONE-|||REQUIRED|||-NONE-|||1
+
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, m2_files",
+    [
+        (["score", "src.txt", "sys0.txt", "ref.m2"], 1),
+        (["score", "src.txt", "sys0.m2", "ref.m2"], 2),
+        (["combine", "src.txt", "sys0.m2", "sys1.m2", "--method", "greedy", "-o", "out.txt"], 2),
+    ],
+)
+def test_each_m2_file_is_one_parse_span_counting_its_entries(
+    bench_modules, tmp_path, monkeypatch, argv, m2_files
+):
+    child, spans = bench_modules
+    monkeypatch.chdir(tmp_path)
+    sources = ["a b c", "x y", "p q r s"]
+    hypotheses = {"sys0": ["a B c", "x y", "q r s"], "sys1": ["a b c", "x", "p q r s"]}
+    for name, lines in {"src": sources, **hypotheses}.items():
+        Path(f"{name}.txt").write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    for name in hypotheses:
+        assert cli.main(["extract", "src.txt", f"{name}.txt", f"{name}.m2"]) == 0
+    Path("ref.m2").write_text(REFERENCE_M2, encoding="utf-8")
+    tracer = spans.Tracer()
+    with spans.patched(child._wrappers(tracer, cli, m2_io, combiner, rewards, scorer)):
+        assert cli.main(argv) == 0
+    assert sum(span.name == "m2_io.parse_m2" for span in tracer.spans()) == m2_files
+    assert tracer.counts()["m2_io.parse_m2.entries"] == m2_files * len(sources)

@@ -425,8 +425,9 @@ class TestByteOrderMark:
 
 
 class TestCollidingPaths:
-    """Two outputs naming one file, or a manifest naming an input, exit 1 before
-    anything is read, printed or written."""
+    """Two outputs naming one file, a manifest naming an input, or a report
+    sharing standard output with the output, exit 1 before anything is read,
+    printed or written."""
 
     def check_refused(self, argv, flags, capsys, tmp_path):
         before = {path: path.read_bytes() for path in tmp_path.iterdir()}
@@ -475,6 +476,11 @@ class TestCollidingPaths:
         out = tmp_path / "o.txt"
         argv = ["apply", corpus["src"], edits, out, "--manifest", out]
         self.check_refused(argv, ["OUT", "--manifest"], capsys, tmp_path)
+
+    def test_combine_report_without_out(self, corpus, tmp_path, capsys):
+        (tmp_path / "src.txt").write_bytes(b"\xff")  # refused before any input is read
+        argv = ["combine", corpus["src"], *corpus["hyps"], "--report"]
+        self.check_refused(argv, ["--report", "--out"], capsys, tmp_path)
 
     def test_device_outputs_are_not_compared(self, corpus, tmp_path):
         argv = ["combine", str(corpus["src"]), *map(str, corpus["hyps"]), "--method", "greedy"]

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_edit_set, random_sentence
+from conftest import bf_parse_m2, random_edit_set, random_sentence
 from edit_mbr.edit_core import Edit, EditSet, Sentence, ValidationError, tokenize
 from edit_mbr.m2_io import (
     Annotation,
@@ -118,6 +118,118 @@ class TestParse:
         entries = parse_m2("S a b c\n\n")
         assert entries[0].annotations == ()
         assert primary_edit_set(entries[0]) == EditSet(3)
+
+
+def _line(span, type_str="UNK", replacement="x", annotator="0", flag="REQUIRED"):
+    return f"A {span}|||{type_str}|||{replacement}|||{flag}|||-NONE-|||{annotator}"
+
+
+def _random_m2(rng: random.Random) -> str:
+    """Multi-annotator M2 text whose annotators mostly repeat each other's
+    lines, with some lines reused across entries and some lines malformed."""
+    shared: list[str] = []  # annotation lines that may turn up in any entry
+    lines: list[str] = []
+    for _ in range(rng.randint(1, 4)):
+        length = rng.randint(0, 6)
+        lines.append("S " + " ".join(f"t{rng.randrange(4)}" for _ in range(length)))
+        gold = []
+        for start in sorted(rng.sample(range(length + 1), rng.randint(0, min(3, length + 1)))):
+            end = min(length, start + rng.randint(0, 1))
+            replacement = rng.choice(["x", "y z", "x\ty", "-NONE-", ""][: 5 if end > start else 3])
+            gold.append((f"{start} {end}", replacement))
+            shared.append(_line(f"{start} {end}", "UNK", replacement))
+        for annotator in rng.sample(range(4), rng.randint(1, 3)):
+            body = [
+                (span, rng.choice(["R:NOUN", "M:DET"]), replacement)
+                for span, replacement in gold
+                if rng.random() < 0.8
+            ]
+            if gold and rng.random() < 0.1:  # conflicts with the gold edit on its span
+                body.append((gold[0][0], "R:NOUN", "w"))
+            if not body or rng.random() < 0.2:
+                body.append(("-1 -1", "noop", "-NONE-"))
+            for span, type_str, replacement in body:
+                flag = rng.choice(["REQUIRED", "REQUIRED", "OPTIONAL"])
+                lines.append(_line(span, type_str, replacement, str(annotator), flag))
+                if rng.random() < 0.2:  # the same edit again, maybe with another type
+                    type_str = rng.choice(["R:NOUN", "U:ADJ"])
+                    lines.append(_line(span, type_str, replacement, str(annotator), flag))
+        if shared and rng.random() < 0.2:
+            lines.append(rng.choice(shared))
+        lines.append(rng.choice(["", "", "  ", "\r"]))
+
+    def mutate(line: str) -> str:
+        head = line.rpartition("|||")[0]
+        rest = line.partition("|||")[2]
+        return rng.choice(
+            [
+                head,  # five fields
+                line + "|||extra",  # seven fields
+                f"{head}|||{rng.choice(['x', '-1', '', '1.0', ' 2 ', '|0', '||1'])}",
+                line.replace("|||-NONE-|||", "|||-NONE-|||" + rng.choice(["|", "||", "x|"]), 1),
+                f"A {rng.choice(['1', '1 x', 'a b', '1 2 3', '0 9', '3 1', '-1 0'])}|||{rest}",
+            ]
+        )
+
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        index = rng.randrange(len(lines))
+        if lines[index].startswith("A ") and rng.random() < 0.8:
+            lines[index] = mutate(lines[index])
+        else:
+            lines.insert(index, rng.choice(["S", "Sx", "A", "junk", "A 1|||broken", "", "B 1 2"]))
+    return "\n".join(lines) + rng.choice(["", "\n"])
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:  # compared by class and message
+        return type(exc), str(exc)
+
+
+class TestParseMemo:
+    """Repeated annotation lines are checked once per entry, with the old outcome."""
+
+    def test_matches_full_check_on_random_multi_annotator_text(self):
+        rng = random.Random(5)
+        kinds = {"ok": 0, "error": 0}
+        for _ in range(3000):
+            text = _random_m2(rng)
+            want = _outcome(bf_parse_m2, text)
+            assert _outcome(parse_m2, text) == want, text
+            kinds["ok" if isinstance(want, list) else "error"] += 1
+        assert min(kinds.values()) > 500
+
+    def test_repeat_in_a_shorter_later_entry_is_out_of_range_on_its_own_line(self):
+        line = _line("3 4", "UNK", "x")
+        text = f"S a b c d\n{line}\n{_line('3 4', 'UNK', 'x', '1')}\n\nS a b\n{line}\n"
+        with pytest.raises(M2ParseError, match="^line 6: edit span 3 4 out of range"):
+            parse_m2(text)
+
+    @pytest.mark.parametrize(
+        "annotator, message",
+        [("x", "line 3: non-integer annotator id"), ("-1", "line 3: negative annotator id -1")],
+    )
+    def test_repeat_with_a_bad_annotator_fails_on_its_own_line(self, annotator, message):
+        text = f"S a b c\n{_line('1 2')}\n{_line('1 2', annotator=annotator)}\n"
+        with pytest.raises(M2ParseError, match=f"^{message}$"):
+            parse_m2(text)
+
+    def test_each_annotator_keeps_its_own_first_type(self):
+        text = "\n".join(
+            [
+                "S a b c",
+                _line("1 2", "R:VERB", "B", "1"),
+                _line("1 2", "M:DET", "B", "0"),
+                _line("1 2", "R:VERB", "B", "0"),
+                _line("1 2", "M:DET", "B", "1"),
+                _line("1 2", "M:DET", "B", "2"),
+            ]
+        )
+        first, second, third = parse_m2(text)[0].annotations
+        assert (first.types, second.types, third.types) == (("M:DET",), ("R:VERB",), ("M:DET",))
+        assert first.edits == second.edits == third.edits == EditSet(3, (B,))
+        assert first.edits.edits[0] is third.edits.edits[0]
 
 
 class TestEmit:
