@@ -37,7 +37,6 @@ from .edit_core import (
 )
 from .m2_io import (
     Annotation,
-    Corpus,
     CorpusEntry,
     M2Entry,
     M2ParseError,
@@ -55,7 +54,6 @@ __all__ = [
     "Candidate",
     "CombineConfig",
     "CombineResult",
-    "Corpus",
     "CorpusEntry",
     "Edit",
     "EditSet",

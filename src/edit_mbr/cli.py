@@ -203,13 +203,13 @@ def cmd_combine(args) -> int:
     if args.out_format == "m2":
         entries = [
             M2Entry(entry.source, (Annotation(0, result.chosen.edit_set),))
-            for entry, result in zip(corpus.entries, results)
+            for entry, result in zip(corpus, results)
         ]
         payload = emit_m2(entries)
     else:
         lines = [
             apply_edits(entry.source, result.chosen.edit_set).text()
-            for entry, result in zip(corpus.entries, results)
+            for entry, result in zip(corpus, results)
         ]
         payload = "".join(line + "\n" for line in lines)
     outputs = {}

@@ -12,7 +12,7 @@ when the strategy or the reward set uses them.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 
 from .edit_core import (
@@ -24,7 +24,7 @@ from .edit_core import (
     vote_set,  # traced by perfbench/child.py
     vote_sets,
 )
-from .m2_io import Corpus
+from .m2_io import CorpusEntry
 from .rewards import RewardConfig, RewardSet, expected_reward
 
 STRATEGIES = ("mbr", "mbr-vote", "greedy")
@@ -98,9 +98,7 @@ def mbr_select(
     return CombineResult(chosen=selection[best], selection=selection, expected_rewards=scores)
 
 
-def vote_candidates(
-    systems: Sequence[Candidate], priority: Sequence[int] | None = None
-) -> list[Candidate]:
+def vote_candidates(systems: Sequence[Candidate]) -> list[Candidate]:
     """Vote candidates for every threshold m = 1..N, labeled ``vote-m``.
 
     ``vote-1`` is the conflict-resolved union of all system edit sets,
@@ -112,7 +110,7 @@ def vote_candidates(
     sets = [candidate.edit_set for candidate in systems]
     return [
         Candidate(edit_set, f"vote-{m}")
-        for m, edit_set in enumerate(vote_sets(sets, priority), start=1)
+        for m, edit_set in enumerate(vote_sets(sets), start=1)
     ]
 
 
@@ -169,15 +167,17 @@ def combine_sentence(systems: Sequence[Candidate], config: CombineConfig) -> Com
 
 
 def combine_corpus(
-    corpus: Corpus, config: CombineConfig, threads: int = 1
+    entries: Iterable[CorpusEntry], config: CombineConfig, threads: int = 1
 ) -> list[CombineResult]:
-    """Combine every corpus entry independently, in corpus order.
+    """Combine every entry independently, in order.
 
-    Entries must all carry the same number of systems.  ``threads`` is
+    ``entries`` may be any iterable (a tuple from ``load_parallel``, a list,
+    a generator); it is read once.  Entries must all carry the same number
+    of systems, checked before any is combined.  ``threads`` is
     accepted and does not change the work: combination is serial, because
     the per-sentence work is pure Python and holds the interpreter lock.
     """
-    entries = corpus.entries
+    entries = tuple(entries)
     counts = {len(entry.systems) for entry in entries}
     if len(counts) > 1:
         raise ValidationError(f"entries disagree on system count: {sorted(counts)}")

@@ -196,9 +196,7 @@ def apply_edits(source: Sentence, edits: EditSet) -> Sentence:
     return Sentence(tuple(out))
 
 
-def extract_edits(
-    source: Sentence, hypothesis: Sentence, merge_adjacent: bool = True
-) -> EditSet:
+def extract_edits(source: Sentence, hypothesis: Sentence) -> EditSet:
     """Extract the edit set that turns ``source`` into ``hypothesis``.
 
     Token-level Levenshtein alignment with unit insert/delete/substitute
@@ -206,14 +204,11 @@ def extract_edits(
     extraction is canonical.  The alignment is computed bit-parallel (see
     ``_align_ops``) after stripping the common suffix, and gives the same
     operations, hence the same edits, as the full dynamic-programming table.
-    With ``merge_adjacent`` (the default) maximal runs of adjacent non-match
-    operations collapse into single edits.  Otherwise every operation becomes
-    its own edit, except insertion runs at one position, which stay together
-    because same-position insertions cannot coexist in a valid edit set.
+    Each maximal run of adjacent non-match operations becomes one edit.
     """
     hyp = hypothesis.tokens
     ops = _align_ops(source.tokens, hyp)
-    return EditSet(len(source), tuple(_ops_to_edits(ops, hyp, merge_adjacent)))
+    return EditSet(len(source), tuple(_ops_to_edits(ops, hyp)))
 
 
 def _align_ops(src: tuple[str, ...], hyp: tuple[str, ...]) -> list[str]:
@@ -284,7 +279,7 @@ def _align_ops(src: tuple[str, ...], hyp: tuple[str, ...]) -> list[str]:
     return ops
 
 
-def _ops_to_edits(ops: list[str], hyp: tuple[str, ...], merge_adjacent: bool) -> list[Edit]:
+def _ops_to_edits(ops: list[str], hyp: tuple[str, ...]) -> list[Edit]:
     spans: list[list[int]] = []  # [src_start, src_end, hyp_start, hyp_end]
     run: list[int] | None = None
     si = hj = 0
@@ -294,29 +289,14 @@ def _ops_to_edits(ops: list[str], hyp: tuple[str, ...], merge_adjacent: bool) ->
             si += 1
             hj += 1
             continue
-        if merge_adjacent:
-            if run is None:
-                run = [si, si, hj, hj]
-                spans.append(run)
-            if op != "ins":
-                si += 1
-            if op != "del":
-                hj += 1
-            run[1], run[3] = si, hj
-        elif op == "sub":
-            spans.append([si, si + 1, hj, hj + 1])
+        if run is None:
+            run = [si, si, hj, hj]
+            spans.append(run)
+        if op != "ins":
             si += 1
+        if op != "del":
             hj += 1
-        elif op == "del":
-            spans.append([si, si + 1, hj, hj])
-            si += 1
-        else:
-            last = spans[-1] if spans else None
-            if last is not None and last[0] == last[1] == si and last[3] == hj:
-                last[3] += 1
-            else:
-                spans.append([si, si, hj, hj + 1])
-            hj += 1
+        run[1], run[3] = si, hj
     return [Edit(s0, s1, hyp[h0:h1]) for s0, s1, h0, h1 in spans]
 
 
@@ -341,25 +321,21 @@ def intersect(sets: Sequence[EditSet]) -> EditSet:
     return EditSet(first.source_len, tuple(kept))
 
 
-def vote_sets(sets: Sequence[EditSet], priority: Sequence[int] | None = None) -> list[EditSet]:
+def vote_sets(sets: Sequence[EditSet]) -> list[EditSet]:
     """Conflict-resolved vote sets for every threshold m = 1..N, from one pass.
 
     Conflicts are resolved greedily over the union: higher vote count wins,
-    ties go to the edit first proposed by the earliest system in ``priority``
-    (input order when omitted), then to span position.  Edits with at least
-    m votes form a prefix of that order, so each threshold's set is the
-    resolved union restricted to them.
+    ties go to the edit first proposed by the earliest system in ``sets``,
+    then to span position.  Edits with at least m votes form a prefix of that
+    order, so each threshold's set is the resolved union restricted to them.
     """
     _require_shared_source(sets)
-    order = list(range(len(sets))) if priority is None else list(priority)
-    if sorted(order) != list(range(len(sets))):
-        raise ValueError("priority must be a permutation of the system indices")
     votes: dict[Edit, int] = {}
-    for index in order:
-        for edit in sets[index]:
+    for edit_set in sets:
+        for edit in edit_set:
             votes[edit] = votes.get(edit, 0) + 1
     # The sort is stable, so edits with equal votes keep insertion order: the
-    # priority of their first proposer, then span order within its edit set.
+    # position of their first proposer, then span order within its edit set.
     kept: list[Edit] = []
     occupied = 0
     for edit in sorted(votes, key=votes.__getitem__, reverse=True):
@@ -373,17 +349,15 @@ def vote_sets(sets: Sequence[EditSet], priority: Sequence[int] | None = None) ->
     ]
 
 
-def vote_set(
-    sets: Sequence[EditSet], min_votes: int, priority: Sequence[int] | None = None
-) -> EditSet:
+def vote_set(sets: Sequence[EditSet], min_votes: int) -> EditSet:
     """Conflict-resolved set of edits proposed by at least ``min_votes`` sets
     (see ``vote_sets``); empty when ``min_votes`` exceeds the number of sets."""
     if min_votes < 1:
         raise ValueError("min_votes must be >= 1")
-    by_threshold = vote_sets(sets, priority)
+    by_threshold = vote_sets(sets)
     return by_threshold[min_votes - 1] if min_votes <= len(sets) else EditSet(sets[0].source_len)
 
 
-def union_resolved(sets: Sequence[EditSet], priority: Sequence[int] | None = None) -> EditSet:
+def union_resolved(sets: Sequence[EditSet]) -> EditSet:
     """Conflict-resolved union of all edit sets."""
-    return vote_set(sets, 1, priority)
+    return vote_set(sets, 1)

@@ -11,8 +11,10 @@ a blank line terminates each entry.  Replacements are space-tokenized;
 tolerant of CRLF line endings and non-canonical flag fields; emission is
 canonical (LF, ``REQUIRED``/``-NONE-`` flags, annotators ascending, edits in
 span order, ``UNK`` for untyped edits), so parse(emit(x)) == x and canonical
-files re-emit byte-identically.  A replacement that M2 cannot hold (the lone
-token ``-NONE-``, or a token containing ``|||``) is refused on emission.
+files re-emit byte-identically.  A replacement or type that M2 cannot hold
+is refused on emission: one containing ``|||`` or a line break, one ending in
+``|`` (which would join the separator after it), or the lone replacement
+token ``-NONE-``.
 
 Plain-text corpora hold one tokenized sentence per line, UTF-8.  Both formats
 drop one leading byte-order mark (U+FEFF) from a file, so a file saved with a
@@ -99,19 +101,6 @@ class CorpusEntry:
 
     source: Sentence
     systems: tuple[Candidate, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class Corpus:
-    """Parallel corpus: every entry carries the same systems in the same order."""
-
-    entries: tuple[CorpusEntry, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
 
 
 def primary_edit_set(entry: M2Entry) -> EditSet:
@@ -247,6 +236,11 @@ def parse_m2(text: str) -> list[M2Entry]:
     return entries
 
 
+def _unwritable(text: str) -> bool:
+    """Whether ``text`` would not read back unchanged as a field of an ``A`` line."""
+    return "\n" in text or "|||" in text or text.endswith("|")
+
+
 def emit_m2(entries: Sequence[M2Entry]) -> str:
     """Serialize entries to canonical M2 text (inverse of ``parse_m2``)."""
     blocks: list[str] = []
@@ -260,10 +254,12 @@ def emit_m2(entries: Sequence[M2Entry]) -> str:
                 continue
             for edit, type_str in zip(ann.edits, ann.types):
                 replacement = " ".join(edit.replacement) if edit.replacement else _EMPTY_REPLACEMENT
-                if edit.replacement and (replacement == _EMPTY_REPLACEMENT or "|||" in replacement):
+                if _unwritable(replacement) or edit.replacement == (_EMPTY_REPLACEMENT,):
                     raise ValidationError(
                         f"entry {number}: replacement {replacement!r} cannot be written as M2"
                     )
+                if _unwritable(type_str):
+                    raise ValidationError(f"entry {number}: type {type_str!r} cannot be written as M2")
                 lines.append(
                     f"A {edit.start} {edit.end}|||{type_str}|||{replacement}"
                     f"|||REQUIRED|||-NONE-|||{ann.annotator}"
@@ -329,8 +325,9 @@ def _labels_for(paths) -> list[str]:
     return labels
 
 
-def load_parallel(source_path, hyp_paths: Sequence) -> Corpus:
-    """Pair line i of the source file with line i of every hypothesis file.
+def load_parallel(source_path, hyp_paths: Sequence) -> tuple[CorpusEntry, ...]:
+    """Pair line i of the source file with line i of every hypothesis file,
+    one ``CorpusEntry`` per source line, ready for ``combine_corpus``.
 
     Hypothesis edits are extracted on load; ``.m2`` hypothesis files are
     parsed instead.  System labels come from the file stems, deduplicated as
@@ -340,7 +337,7 @@ def load_parallel(source_path, hyp_paths: Sequence) -> Corpus:
     sources = load_sentences(source_path)
     labels = _labels_for(hyp_paths)
     columns = [load_hypothesis_sets(path, sources, source_path) for path in hyp_paths]
-    entries = tuple(
+    return tuple(
         CorpusEntry(
             source=source,
             systems=tuple(
@@ -349,4 +346,3 @@ def load_parallel(source_path, hyp_paths: Sequence) -> Corpus:
         )
         for i, source in enumerate(sources)
     )
-    return Corpus(entries)

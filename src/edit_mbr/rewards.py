@@ -13,48 +13,38 @@ REWARD_KINDS = ("recall", "precision", "f", "f-paper", "jaccard")
 
 @dataclass(frozen=True, slots=True)
 class RewardConfig:
-    """Reward selection plus conventions for degenerate (empty-set) cases.
+    """Reward kind and the F rewards' ``beta``.
 
     ``beta`` weights recall against precision for the F rewards: ``f`` is the
     standard F-beta (beta-squared reference weighting in the denominator),
     ``f-paper`` an alternative with linear beta weighting; the two differ for
     beta != 1.  Note that ``f-paper`` is not normalized: a perfect match
-    scores (1 + beta^2) / (1 + beta) rather than 1.  When both edit sets are
-    empty every reward yields ``empty_empty_value``; when only the
-    denominator side of recall or precision is empty the reward yields
-    ``empty_denominator_value``.
+    scores (1 + beta^2) / (1 + beta) rather than 1.  Empty sets follow the
+    scorer's convention: when both edit sets are empty every reward is 1.0,
+    and so is recall against an empty reference or precision of an empty
+    hypothesis (nothing to get wrong).
     """
 
     kind: str = "f"
     beta: float = 0.5
-    empty_empty_value: float = 1.0
-    empty_denominator_value: float = 1.0
 
     def __post_init__(self) -> None:
         if self.kind not in REWARD_KINDS:
             raise ValueError(f"unknown reward kind {self.kind!r}; expected one of {REWARD_KINDS}")
         if not 0 < self.beta < math.inf:
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
-        for name in ("empty_empty_value", "empty_denominator_value"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
 def _score(overlap: int, n_ref: int, n_hyp: int, config: RewardConfig) -> float:
     """The configured reward of a hypothesis of ``n_hyp`` edits against a
     reference of ``n_ref`` edits, ``overlap`` of them shared."""
     if n_ref == 0 and n_hyp == 0:
-        return config.empty_empty_value
+        return 1.0
     kind = config.kind
     if kind == "recall":
-        if n_ref == 0:
-            return config.empty_denominator_value
-        return overlap / n_ref
+        return overlap / n_ref if n_ref else 1.0
     if kind == "precision":
-        if n_hyp == 0:
-            return config.empty_denominator_value
-        return overlap / n_hyp
+        return overlap / n_hyp if n_hyp else 1.0
     if kind == "f":
         b2 = config.beta * config.beta
         return (1.0 + b2) * overlap / (b2 * n_ref + n_hyp)
@@ -132,11 +122,10 @@ def expected_reward(
     """Mean reward of ``hyp_edits`` against each member of ``reward_set``.
 
     Members are weighted uniformly.  The hypothesis may itself be a member; its
-    own term is then the kind's perfect-match value: 1.0, except that
-    ``f-paper`` gives (1 + beta^2) / (1 + beta) and two empty sets give
-    ``empty_empty_value``.  ``math.fsum`` keeps the mean independent of
-    member order.  A sequence of edit sets is first turned into a
-    ``RewardSet``; passing one scores against it directly.
+    own term is then the kind's perfect-match value: 1.0, except that a
+    non-empty ``f-paper`` match gives (1 + beta^2) / (1 + beta).  ``math.fsum``
+    keeps the mean independent of member order.  A sequence of edit sets is
+    first turned into a ``RewardSet``; passing one scores against it directly.
     """
     table = reward_set if isinstance(reward_set, RewardSet) else RewardSet(reward_set)
     return table.expected(table.mask(hyp_edits), len(hyp_edits), config)

@@ -88,17 +88,13 @@ def random_systems(
     return systems
 
 
-def bf_vote_set(sets, min_votes, priority=None) -> EditSet:
+def bf_vote_set(sets, min_votes) -> EditSet:
     """Vote set resolved from scratch at one threshold: only edits with at
-    least ``min_votes`` votes are ranked (votes, proposer priority, span) and
-    kept greedily unless they conflict with an edit already kept."""
-    order = list(range(len(sets))) if priority is None else list(priority)
-    rank = {system: position for position, system in enumerate(order)}
+    least ``min_votes`` votes are ranked (votes, first proposer's position,
+    span) and kept greedily unless they conflict with an edit already kept."""
     edits = {edit for edit_set in sets for edit in edit_set}
     votes = {edit: sum(edit in s for s in sets) for edit in edits}
-    first = {
-        edit: min(rank[i] for i, s in enumerate(sets) if edit in s) for edit in edits
-    }
+    first = {edit: min(i for i, s in enumerate(sets) if edit in s) for edit in edits}
     eligible = sorted(
         (e for e in edits if votes[e] >= min_votes),
         key=lambda e: (-votes[e], first[e], e.start, e.end, e.replacement),

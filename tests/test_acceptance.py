@@ -42,7 +42,7 @@ from edit_mbr.edit_core import (
     union_resolved,
     vote_set,
 )
-from edit_mbr.m2_io import Corpus, CorpusEntry, emit_m2, parse_m2, load_parallel
+from edit_mbr.m2_io import CorpusEntry, emit_m2, parse_m2, load_parallel
 from edit_mbr.m2_io import Annotation, M2Entry
 from edit_mbr.rewards import REWARD_KINDS, RewardConfig, expected_reward, reward
 from edit_mbr.scorer import score_corpus
@@ -241,7 +241,7 @@ def _corruption_corpus(rng, n_sentences=20):
         )
         entries.append(CorpusEntry(source, systems))
         references.append([ref])
-    return Corpus(tuple(entries)), references
+    return entries, references
 
 
 def test_c07_reward_choice_controls_precision_recall_tradeoff():
@@ -368,7 +368,7 @@ def test_c11_external_data_direction_check(tmp_path):
     combined = score_corpus([r.chosen.edit_set for r in results], references, beta=0.5)
     for index in range(len(hyp_paths)):
         single = score_corpus(
-            [entry.systems[index].edit_set for entry in corpus.entries],
+            [entry.systems[index].edit_set for entry in corpus],
             references,
             beta=0.5,
         )

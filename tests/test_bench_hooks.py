@@ -15,7 +15,7 @@ from conftest import random_systems
 from edit_mbr import cli, combiner, m2_io, rewards, scorer
 from edit_mbr.combiner import CombineConfig, combine_corpus
 from edit_mbr.edit_core import Sentence, tokenize
-from edit_mbr.m2_io import Corpus, CorpusEntry
+from edit_mbr.m2_io import CorpusEntry
 from edit_mbr.rewards import RewardConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -39,7 +39,7 @@ def corpus(seed=0, sentences=20):
         systems = random_systems(rng, n_systems=4)
         source = Sentence(tuple(f"s{i}" for i in range(systems[0].edit_set.source_len)))
         entries.append(CorpusEntry(source, tuple(systems)))
-    return Corpus(tuple(entries))
+    return tuple(entries)
 
 
 def test_wrappers_resolve_and_trace_combine_corpus(bench_modules):

@@ -81,7 +81,7 @@ class TestExtractApply:
         src = write(tmp_path / "one.txt", ["a b c"])
         assert main(["apply", str(src), str(bad), str(tmp_path / "o.txt")]) == 2
 
-    @pytest.mark.parametrize("token", ["|||", "x|||y", "-NONE-"])
+    @pytest.mark.parametrize("token", ["|||", "x|||y", "-NONE-", "x|"])
     def test_replacement_m2_cannot_hold_is_data_error(self, tmp_path, capsys, token):
         src = write(tmp_path / "s.txt", ["a b c"])
         hyp = write(tmp_path / "h.txt", [f"a {token} c"])

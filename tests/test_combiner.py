@@ -27,7 +27,7 @@ from edit_mbr.edit_core import (
     tokenize,
     vote_set,
 )
-from edit_mbr.m2_io import Corpus, CorpusEntry
+from edit_mbr.m2_io import CorpusEntry
 from edit_mbr.rewards import REWARD_KINDS, RewardConfig, expected_reward
 
 B = Edit(1, 2, ("B",))
@@ -144,19 +144,19 @@ class TestVoteCandidates:
             assert votes[-1].edit_set == intersect(sets)
 
     def test_every_threshold_matches_vote_set_with_priority(self):
+        # Tie priority is system position, so shuffling the systems reorders it.
         rng = random.Random(71)
         for _ in range(300):
             n = rng.randint(1, 8)
             systems = random_systems(rng, n_systems=n, pool_size=rng.randint(1, 10))
+            rng.shuffle(systems)
             sets = [c.edit_set for c in systems]
-            priority = list(range(n))
-            rng.shuffle(priority)
-            votes = vote_candidates(systems, priority)
+            votes = vote_candidates(systems)
             assert [c.label for c in votes] == [f"vote-{m}" for m in range(1, n + 1)]
             for m in range(1, n + 1):
-                assert votes[m - 1].edit_set == vote_set(sets, m, priority)
-                assert votes[m - 1].edit_set == bf_vote_set(sets, m, priority)
-            assert vote_set(sets, n + 1, priority) == EditSet(sets[0].source_len)
+                assert votes[m - 1].edit_set == vote_set(sets, m)
+                assert votes[m - 1].edit_set == bf_vote_set(sets, m)
+            assert vote_set(sets, n + 1) == EditSet(sets[0].source_len)
             assert votes[-1].edit_set == intersect(sets)
 
 
@@ -343,35 +343,33 @@ class TestCombineSentence:
 class TestCombineCorpus:
     def corpus(self):
         src = tokenize("a b c")
-        return Corpus(
-            tuple(
-                CorpusEntry(src, tuple(fixture_systems()))
-                for _ in range(3)
-            )
-        )
+        return tuple(CorpusEntry(src, tuple(fixture_systems())) for _ in range(3))
 
     def test_results_in_input_order(self):
         results = combine_corpus(self.corpus(), config_for("f"))
         assert len(results) == 3
         assert all(r.chosen.label == "h1" for r in results)
 
+    def test_entries_may_be_a_one_shot_iterator(self):
+        want = combine_corpus(self.corpus(), config_for("f"))
+        assert combine_corpus(iter(self.corpus()), config_for("f")) == want
+        assert combine_corpus(list(self.corpus()), config_for("f")) == want
+
     def test_empty_corpus(self):
-        assert combine_corpus(Corpus(), config_for("f")) == []
+        assert combine_corpus((), config_for("f")) == []
 
     def test_consensus_sentence(self):
         src = tokenize("a b c")
         systems = tuple(Candidate(es(B), f"s{i}") for i in range(3))
-        corpus = Corpus((CorpusEntry(src, systems),))
+        corpus = (CorpusEntry(src, systems),)
         results = combine_corpus(corpus, config_for("f"))
         assert results[0].chosen.edit_set == es(B)
 
     def test_ragged_system_counts_rejected(self):
         src = tokenize("a b c")
-        corpus = Corpus(
-            (
-                CorpusEntry(src, tuple(fixture_systems())),
-                CorpusEntry(src, tuple(fixture_systems()[:2])),
-            )
+        corpus = (
+            CorpusEntry(src, tuple(fixture_systems())),
+            CorpusEntry(src, tuple(fixture_systems()[:2])),
         )
         with pytest.raises(ValidationError):
             combine_corpus(corpus, config_for("f"))

@@ -46,9 +46,9 @@ def es(*edits, source_len=3):
 token_lists = st.lists(st.sampled_from([f"t{i}" for i in range(6)]), max_size=12)
 
 
-def oracle_edits(source, hypothesis, merge_adjacent=True):
+def oracle_edits(source, hypothesis):
     ops = bf_align_ops(source.tokens, hypothesis.tokens)
-    return EditSet(len(source), tuple(_ops_to_edits(ops, hypothesis.tokens, merge_adjacent)))
+    return EditSet(len(source), tuple(_ops_to_edits(ops, hypothesis.tokens)))
 
 
 @st.composite
@@ -367,29 +367,6 @@ class TestExtract:
         b = extract_edits(tokenize("a b c x"), tokenize("q b z"))
         assert a == b
 
-    def test_no_merge_emits_one_edit_per_op(self):
-        source = tokenize("a b c d")
-        hypothesis = tokenize("a X Y d")
-        got = extract_edits(source, hypothesis, merge_adjacent=False)
-        assert got.edits == (Edit(1, 2, ("X",)), Edit(2, 3, ("Y",)))
-        assert apply_edits(source, got) == hypothesis
-
-    def test_no_merge_keeps_same_point_insertions_together(self):
-        source = tokenize("a")
-        hypothesis = tokenize("x y a")
-        got = extract_edits(source, hypothesis, merge_adjacent=False)
-        assert got.edits == (Edit(0, 0, ("x", "y")),)
-
-    def test_no_merge_round_trip_random(self):
-        rng = random.Random(11)
-        for _ in range(200):
-            source = random_sentence(rng, 0, 12, vocab=5)
-            hypothesis = random_sentence(rng, 0, 12, vocab=5)
-            no_merge = extract_edits(source, hypothesis, merge_adjacent=False)
-            merged = extract_edits(source, hypothesis)
-            assert apply_edits(source, no_merge) == hypothesis
-            assert len(no_merge) >= len(merged)
-
     @given(token_lists, token_lists)
     @settings(max_examples=200, deadline=None)
     def test_round_trip(self, src_tokens, hyp_tokens):
@@ -434,28 +411,24 @@ class TestAlignmentKernel:
         assert _align_ops(("a", "b"), ()) == ["del", "del"]
         assert _align_ops((), ("a", "b")) == ["ins", "ins"]
 
-    @given(repetitive_pairs(), st.booleans())
+    @given(repetitive_pairs())
     @settings(max_examples=300, deadline=None)
-    def test_matches_oracle_on_repetitive_tokens(self, pair, merge_adjacent):
+    def test_matches_oracle_on_repetitive_tokens(self, pair):
         source, hypothesis = pair
         assert _align_ops(source.tokens, hypothesis.tokens) == bf_align_ops(
             source.tokens, hypothesis.tokens
         )
-        assert extract_edits(source, hypothesis, merge_adjacent) == oracle_edits(
-            source, hypothesis, merge_adjacent
-        )
+        assert extract_edits(source, hypothesis) == oracle_edits(source, hypothesis)
 
     def test_matches_oracle_on_random_pairs(self):
         rng = random.Random(2309)
-        for index in range(20_000):
+        for _ in range(20_000):
             source, hypothesis = random_pair(rng)
-            merge_adjacent = index % 2 == 0
-            got = extract_edits(source, hypothesis, merge_adjacent)
-            assert got == oracle_edits(source, hypothesis, merge_adjacent), (
-                source,
-                hypothesis,
-                merge_adjacent,
-            )
+            assert _align_ops(source.tokens, hypothesis.tokens) == bf_align_ops(
+                source.tokens, hypothesis.tokens
+            ), (source, hypothesis)
+            got = extract_edits(source, hypothesis)
+            assert got == oracle_edits(source, hypothesis), (source, hypothesis)
 
 
 class TestApply:
@@ -497,13 +470,9 @@ class TestVotesAndAlgebra:
         assert union_resolved(sets) == es(B)
 
     def test_union_resolves_vote_ties_by_priority(self):
-        sets = [es(B), es(X)]
-        assert union_resolved(sets) == es(B)
-        assert union_resolved(sets, priority=[1, 0]) == es(X)
-
-    def test_priority_must_be_permutation(self):
-        with pytest.raises(ValueError):
-            union_resolved([es(B), es(X)], priority=[0, 0])
+        # Tie priority is system position: the earliest proposer wins.
+        assert union_resolved([es(B), es(X)]) == es(B)
+        assert union_resolved([es(X), es(B)]) == es(X)
 
     def test_vote_set_threshold(self):
         sets = self.sets()

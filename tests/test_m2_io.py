@@ -246,13 +246,32 @@ class TestEmit:
         entry = M2Entry(tokenize("a b c"), (deletion,))
         assert "|||-NONE-|||REQUIRED" in emit_m2([entry])
 
-    @pytest.mark.parametrize("replacement", [("-NONE-",), ("a|||b",), ("x", "|||")])
+    @pytest.mark.parametrize(
+        "replacement", [("-NONE-",), ("a|||b",), ("x", "|||"), ("x|",), ("x", "y||")]
+    )
     def test_refuses_replacement_m2_cannot_hold(self, replacement):
         plain = Annotation(0, EditSet(3, (B,)))
         bad = Annotation(0, EditSet(3, (Edit(1, 2, replacement),)))
         entries = [M2Entry(tokenize("a b c"), (plain,)), M2Entry(tokenize("a b c"), (bad,))]
         with pytest.raises(ValidationError, match="^entry 2: replacement .* cannot be written"):
             emit_m2(entries)
+
+    @pytest.mark.parametrize("type_str", ["R:NOUN|||x", "|||", "R:NOUN\nA", "x\n", "R:NOUN|"])
+    def test_refuses_type_m2_cannot_hold(self, type_str):
+        plain = Annotation(0, EditSet(3, (B,)))
+        bad = Annotation(0, EditSet(3, (B,)), (type_str,))
+        entries = [M2Entry(tokenize("a b c"), (plain,)), M2Entry(tokenize("a b c"), (bad,))]
+        with pytest.raises(ValidationError, match="^entry 2: type .* cannot be written as M2$"):
+            emit_m2(entries)
+
+    @pytest.mark.parametrize(
+        "token, type_str",
+        [("|x", "|R:NOUN"), ("x|y", "R|NOUN"), ("x||y", "R||NOUN"), ("x", ""), ("x", "R :NOUN")],
+    )
+    def test_bars_not_at_a_field_end_round_trip(self, token, type_str):
+        edits = EditSet(3, (Edit(1, 2, (token,)),))
+        entry = M2Entry(tokenize("a b c"), (Annotation(0, edits, (type_str,)),))
+        assert parse_m2(emit_m2([entry])) == [entry]
 
     def test_none_marker_inside_a_longer_replacement_round_trips(self):
         edits = EditSet(3, (Edit(1, 2, ("x", "-NONE-")),))
@@ -314,8 +333,8 @@ class TestLoadParallel:
         hyp = self.write(tmp_path, "hyp.txt", ["a B c", "x y", "p q"])
         corpus = load_parallel(src, [hyp])
         assert len(corpus) == 3
-        assert corpus.entries[0].systems[0].edit_set == EditSet(3, (B,))
-        assert corpus.entries[1].systems[0].edit_set == EditSet(2)
+        assert corpus[0].systems[0].edit_set == EditSet(3, (B,))
+        assert corpus[1].systems[0].edit_set == EditSet(2)
 
     def test_n_files_give_n_candidates_per_sentence(self, tmp_path):
         src = self.write(tmp_path, "src.txt", ["a b c", "x y"])
@@ -323,7 +342,7 @@ class TestLoadParallel:
             self.write(tmp_path, f"hyp{i}.txt", ["a B c", "x y"]) for i in range(4)
         ]
         corpus = load_parallel(src, hyps)
-        assert all(len(entry.systems) == 4 for entry in corpus.entries)
+        assert all(len(entry.systems) == 4 for entry in corpus)
 
     def test_length_mismatch(self, tmp_path):
         src = self.write(tmp_path, "src.txt", ["a b c", "x y", "p"])
@@ -338,7 +357,7 @@ class TestLoadParallel:
         sub.mkdir()
         hyp_b = self.write(sub, "hyp.txt", ["a b c d"])
         corpus = load_parallel(src, [hyp_a, hyp_b])
-        labels = [c.label for c in corpus.entries[0].systems]
+        labels = [c.label for c in corpus[0].systems]
         assert labels == ["hyp", "hyp.2"]
 
     def test_labels_never_equal_combiner_candidate_labels(self, tmp_path):
@@ -346,7 +365,7 @@ class TestLoadParallel:
         names = ["vote-1", "greedy", "vote-x", *(f"sys{i}" for i in range(8))]
         hyps = [self.write(tmp_path, f"{name}.txt", ["a B c"]) for name in names]
         corpus = load_parallel(src, hyps)
-        labels = [c.label for c in corpus.entries[0].systems]
+        labels = [c.label for c in corpus[0].systems]
         assert labels == ["vote-1.2", "greedy.2", "vote-x", *names[3:]]
 
     def test_m2_hypothesis_column(self, tmp_path):
@@ -354,7 +373,7 @@ class TestLoadParallel:
         m2 = tmp_path / "hyp.m2"
         m2.write_text(SINGLE_EDIT_M2, encoding="utf-8")
         corpus = load_parallel(src, [m2])
-        assert corpus.entries[0].systems[0].edit_set == EditSet(3, (B,))
+        assert corpus[0].systems[0].edit_set == EditSet(3, (B,))
 
     def test_m2_source_mismatch(self, tmp_path):
         src = self.write(tmp_path, "src.txt", ["z z z"])
@@ -367,8 +386,8 @@ class TestLoadParallel:
         src = self.write(tmp_path, "src.txt", ["", "a"])
         hyp = self.write(tmp_path, "hyp.txt", ["x", "a"])
         corpus = load_parallel(src, [hyp])
-        assert corpus.entries[0].source == Sentence()
-        assert corpus.entries[0].systems[0].edit_set == EditSet(0, (Edit(0, 0, ("x",)),))
+        assert corpus[0].source == Sentence()
+        assert corpus[0].systems[0].edit_set == EditSet(0, (Edit(0, 0, ("x",)),))
 
     def test_load_sentences_crlf(self, tmp_path):
         path = tmp_path / "crlf.txt"

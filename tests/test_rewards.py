@@ -17,8 +17,8 @@ def es(*edits):
     return EditSet(3, tuple(edits))
 
 
-def r(kind, ref, hyp, beta=0.5, **kwargs):
-    return reward(ref, hyp, RewardConfig(kind=kind, beta=beta, **kwargs))
+def r(kind, ref, hyp, beta=0.5):
+    return reward(ref, hyp, RewardConfig(kind=kind, beta=beta))
 
 
 class TestRewardValues:
@@ -53,7 +53,6 @@ class TestRewardValues:
     def test_empty_denominator_conventions(self):
         assert r("recall", es(), es(B)) == 1.0
         assert r("precision", es(B), es()) == 1.0
-        assert r("recall", es(), es(B), empty_denominator_value=0.0) == 0.0
 
     def test_f_with_one_empty_side_is_zero(self):
         assert r("f", es(), es(B)) == 0.0
@@ -72,10 +71,6 @@ class TestRewardConfig:
     def test_rejects_nonpositive_beta(self):
         with pytest.raises(ValueError):
             RewardConfig(beta=0.0)
-
-    def test_rejects_out_of_range_convention(self):
-        with pytest.raises(ValueError):
-            RewardConfig(empty_empty_value=1.5)
 
 
 class TestExpectedReward:
@@ -219,7 +214,7 @@ class TestRewardSet:
     def test_reward_is_the_one_member_case(self):
         for refs, hyp in self.instances(200, seed=43):
             for kind in REWARD_KINDS:
-                config = RewardConfig(kind=kind, empty_denominator_value=0.25)
+                config = RewardConfig(kind=kind)
                 assert reward(refs[0], hyp, config) == expected_reward(hyp, [refs[0]], config)
 
     def test_edit_outside_every_member_counts_only_in_size(self):
