@@ -16,7 +16,6 @@ from .combiner import (
     GreedyStep,
     combine_corpus,
     combine_sentence,
-    greedy_combine,
     mbr_select,
     vote_candidates,
 )
@@ -28,11 +27,9 @@ from .edit_core import (
     ValidationError,
     apply_edits,
     conflicts,
-    count_votes,
     extract_edits,
     intersect,
     tokenize,
-    union_resolved,
     vote_set,
 )
 from .m2_io import (
@@ -70,11 +67,9 @@ __all__ = [
     "combine_corpus",
     "combine_sentence",
     "conflicts",
-    "count_votes",
     "emit_m2",
     "expected_reward",
     "extract_edits",
-    "greedy_combine",
     "intersect",
     "load_parallel",
     "load_sentences",
@@ -85,7 +80,6 @@ __all__ = [
     "score_corpus",
     "score_sentence",
     "tokenize",
-    "union_resolved",
     "vote_candidates",
     "vote_set",
 ]

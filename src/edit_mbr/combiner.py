@@ -114,11 +114,6 @@ def vote_candidates(systems: Sequence[Candidate]) -> list[Candidate]:
     ]
 
 
-def greedy_combine(systems: Sequence[Candidate], config: CombineConfig) -> CombineResult:
-    """``combine_sentence`` with the greedy strategy."""
-    return combine_sentence(systems, replace(config, strategy="greedy"))
-
-
 def combine_sentence(systems: Sequence[Candidate], config: CombineConfig) -> CombineResult:
     """Combine one sentence's system candidates per the configured strategy.
 

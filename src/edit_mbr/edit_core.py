@@ -4,7 +4,7 @@ A sentence is a whitespace-free token sequence.  An edit replaces the source
 span [start, end) with a replacement token sequence; an edit set is a
 canonical, conflict-free collection of edits describing one full correction
 of a sentence.  One conflict-resolution pass (``vote_sets``) yields the vote
-set at every threshold; ``vote_set`` is a view of it.
+set at every threshold; ``vote_set`` and ``intersect`` are views of it.
 """
 
 from __future__ import annotations
@@ -201,38 +201,29 @@ def extract_edits(source: Sentence, hypothesis: Sentence) -> EditSet:
 
     Token-level Levenshtein alignment with unit insert/delete/substitute
     costs; backtrace ties resolve match > substitute > delete > insert, so
-    extraction is canonical.  The alignment is computed bit-parallel (see
-    ``_align_ops``) after stripping the common suffix, and gives the same
-    operations, hence the same edits, as the full dynamic-programming table.
-    Each maximal run of adjacent non-match operations becomes one edit.
-    """
-    hyp = hypothesis.tokens
-    ops = _align_ops(source.tokens, hyp)
-    return EditSet(len(source), tuple(_ops_to_edits(ops, hyp)))
+    extraction is canonical.  Each maximal run of adjacent non-match steps
+    becomes one edit, read off the backtrace as the run closes: no list of
+    operations is built.
 
-
-def _align_ops(src: tuple[str, ...], hyp: tuple[str, ...]) -> list[str]:
-    """Canonical alignment of ``src`` to ``hyp``: "match"/"sub"/"del"/"ins" ops.
-
-    Myers' bit-parallel edit distance (Myers 1999, JACM) in Hyyrö's column
-    formulation, on Python ints: bit ``i - 1`` of a column vector stands for
-    row ``i`` (source token ``i``) of the table ``D[i][j]`` with
-    ``D[i][0] = i`` and ``D[0][j] = j``.  Per hypothesis column it keeps
-    ``vp`` (``D[i][j] - D[i-1][j] == +1``) and ``d0``
+    The distances are Myers' bit-parallel edit distance (Myers 1999, JACM)
+    in Hyyrö's column formulation, on Python ints: bit ``i - 1`` of a column
+    vector stands for row ``i`` (source token ``i``) of the table
+    ``D[i][j]`` with ``D[i][0] = i`` and ``D[0][j] = j``.  Per hypothesis
+    column it keeps ``vp`` (``D[i][j] - D[i-1][j] == +1``) and ``d0``
     (``D[i][j] == D[i-1][j-1]``); every value of the table is exact, so the
-    backtrace from ``D[n][m]`` takes the same tie order (match > sub > del >
-    ins) as a full table would, reading one bit per step.
+    backtrace from ``D[n][m]`` takes the same steps as a full table would,
+    reading one bit per step.
 
     A common suffix is stripped first: where the last tokens match,
     ``D[n][m] == D[n-1][m-1]`` and the backtrace takes the match anyway.  A
     common prefix is not, because there the backtrace may not take it
     (``a`` -> ``a a`` inserts at 0).
     """
+    src, hyp = source.tokens, hypothesis.tokens
     n, m = len(src), len(hyp)
     while n and m and src[n - 1] == hyp[m - 1]:
         n -= 1
         m -= 1
-    tail = len(src) - n
     peq: dict[str, int] = {}
     bit = 1
     for token in src[:n]:
@@ -253,72 +244,40 @@ def _align_ops(src: tuple[str, ...], hyp: tuple[str, ...]) -> list[str]:
         vn = hp & d0
         vps.append(vp)
         d0s.append(d0)
-    ops: list[str] = ["match"] * tail
+    edits: list[Edit] = []
+    run_end: tuple[int, int] | None = None  # (i, j) where the open run began
     i, j = n, m
     while i and j:
-        row = 1 << (i - 1)
         # Neighbouring cells differ by at most 1, so a match is always on an
-        # optimal path; "ins" is what is left when no other step is.
+        # optimal path; an insertion is what is left when no other step is.
         if src[i - 1] == hyp[j - 1]:
-            ops.append("match")
+            if run_end is not None:
+                edits.append(Edit(i, run_end[0], hyp[j : run_end[1]]))
+                run_end = None
             i -= 1
             j -= 1
-        elif not d0s[j] & row:
-            ops.append("sub")
-            i -= 1
-            j -= 1
-        elif vps[j] & row:
-            ops.append("del")
-            i -= 1
-        else:
-            ops.append("ins")
-            j -= 1
-    ops.extend(["del"] * i)  # column 0: D[i][0] = i
-    ops.extend(["ins"] * j)  # row 0: D[0][j] = j
-    ops.reverse()
-    return ops
-
-
-def _ops_to_edits(ops: list[str], hyp: tuple[str, ...]) -> list[Edit]:
-    spans: list[list[int]] = []  # [src_start, src_end, hyp_start, hyp_end]
-    run: list[int] | None = None
-    si = hj = 0
-    for op in ops:
-        if op == "match":
-            run = None
-            si += 1
-            hj += 1
             continue
-        if run is None:
-            run = [si, si, hj, hj]
-            spans.append(run)
-        if op != "ins":
-            si += 1
-        if op != "del":
-            hj += 1
-        run[1], run[3] = si, hj
-    return [Edit(s0, s1, hyp[h0:h1]) for s0, s1, h0, h1 in spans]
-
-
-def _require_shared_source(sets: Sequence[EditSet]) -> None:
-    if not sets:
-        raise ValueError("need at least one edit set")
-    lengths = {s.source_len for s in sets}
-    if len(lengths) > 1:
-        raise ValidationError(f"edit sets disagree on source length: {sorted(lengths)}")
-
-
-def count_votes(edit: Edit, sets: Sequence[EditSet]) -> int:
-    """Number of edit sets containing an identical edit."""
-    return sum(edit in s for s in sets)
+        if run_end is None:
+            run_end = (i, j)
+        row = 1 << (i - 1)
+        if not d0s[j] & row:  # substitute
+            i -= 1
+            j -= 1
+        elif vps[j] & row:  # delete
+            i -= 1
+        else:  # insert
+            j -= 1
+    # The rest of the path runs down column 0 (deletions) or along row 0
+    # (insertions), and joins the open run.
+    end_i, end_j = run_end or (i, j)
+    if end_i or end_j:
+        edits.append(Edit(0, end_i, hyp[:end_j]))
+    return EditSet(len(source), tuple(edits))
 
 
 def intersect(sets: Sequence[EditSet]) -> EditSet:
-    """Edits present in every set."""
-    _require_shared_source(sets)
-    first, rest = sets[0], sets[1:]
-    kept = [e for e in first if all(e in s for s in rest)]
-    return EditSet(first.source_len, tuple(kept))
+    """Edits present in every set: the vote set at threshold N (see ``vote_sets``)."""
+    return vote_sets(sets)[-1]
 
 
 def vote_sets(sets: Sequence[EditSet]) -> list[EditSet]:
@@ -328,8 +287,15 @@ def vote_sets(sets: Sequence[EditSet]) -> list[EditSet]:
     ties go to the edit first proposed by the earliest system in ``sets``,
     then to span position.  Edits with at least m votes form a prefix of that
     order, so each threshold's set is the resolved union restricted to them.
+    An edit every set holds has N votes, and all such edits lie in the
+    conflict-free ``sets[0]``, so none is dropped: the set at m = N is the
+    plain intersection.
     """
-    _require_shared_source(sets)
+    if not sets:
+        raise ValueError("need at least one edit set")
+    lengths = {s.source_len for s in sets}
+    if len(lengths) > 1:
+        raise ValidationError(f"edit sets disagree on source length: {sorted(lengths)}")
     votes: dict[Edit, int] = {}
     for edit_set in sets:
         for edit in edit_set:
@@ -356,8 +322,3 @@ def vote_set(sets: Sequence[EditSet], min_votes: int) -> EditSet:
         raise ValueError("min_votes must be >= 1")
     by_threshold = vote_sets(sets)
     return by_threshold[min_votes - 1] if min_votes <= len(sets) else EditSet(sets[0].source_len)
-
-
-def union_resolved(sets: Sequence[EditSet]) -> EditSet:
-    """Conflict-resolved union of all edit sets."""
-    return vote_set(sets, 1)

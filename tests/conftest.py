@@ -4,9 +4,13 @@ The brute-force reward functions below recompute every quantity from
 explicit pairwise edit comparisons and the raw formulas; they deliberately
 share no code with the package so they can serve as independent oracles.
 ``bf_align_ops`` is the full-table alignment the bit-parallel kernel in
-``edit_core`` replaced, and ``bf_greedy`` the greedy loop that built and
-scored one ``EditSet`` per candidate before greedy scored bitmasks; both are
-kept here as oracles.  ``bf_conflicts`` and ``bf_first_conflict`` are the
+``edit_core`` replaced, and ``bf_edits`` turns its operations into edits
+with a run merger of its own, as an oracle for ``extract_edits`` (which
+reads edits straight off its backtrace).  ``bf_intersect`` is the
+edits-in-every-set loop that ``intersect`` kept before it became the top
+vote set.  ``bf_greedy`` is the greedy loop that built and scored one
+``EditSet`` per candidate before greedy scored bitmasks.  All are kept here
+as oracles.  ``bf_conflicts`` and ``bf_first_conflict`` are the
 pairwise conflict rule and the sorted ``EditSet`` scan that occupancy masks
 replaced; every generator and oracle here uses them, not ``conflicts``.
 ``bf_parse_m2`` is the M2 parser from before annotation lines were memoized
@@ -14,6 +18,7 @@ per entry: it splits and checks every line in full, on lines from
 ``bf_lines``, the line splitter of that time.
 """
 
+import itertools
 import math
 import random
 
@@ -106,6 +111,12 @@ def bf_vote_set(sets, min_votes) -> EditSet:
     return EditSet(sets[0].source_len, tuple(kept))
 
 
+def bf_intersect(sets) -> EditSet:
+    """Edits of the first set that every other set also holds."""
+    first, rest = sets[0], sets[1:]
+    return EditSet(first.source_len, tuple(e for e in first if all(e in s for s in rest)))
+
+
 def bf_intersection_size(ref_edits, hyp_edits) -> int:
     return sum(1 for edit in ref_edits if any(edit == other for other in hyp_edits))
 
@@ -189,6 +200,24 @@ def bf_align_ops(src, hyp) -> list[str]:
             j -= 1
     ops.reverse()
     return ops
+
+
+def bf_edits(source: Sentence, hypothesis: Sentence) -> EditSet:
+    """Edits from ``bf_align_ops``: each maximal group of non-match ops
+    replaces the source tokens it consumes with the hypothesis tokens it
+    consumes."""
+    src, hyp = source.tokens, hypothesis.tokens
+    edits = []
+    i = j = 0
+    for is_match, group in itertools.groupby(bf_align_ops(src, hyp), lambda op: op == "match"):
+        ops = list(group)
+        di = sum(op != "ins" for op in ops)
+        dj = sum(op != "del" for op in ops)
+        if not is_match:
+            edits.append(Edit(i, i + di, hyp[j : j + dj]))
+        i += di
+        j += dj
+    return EditSet(len(src), tuple(edits))
 
 
 def bf_greedy(systems, config) -> CombineResult:

@@ -16,6 +16,8 @@ import pytest
 
 from conftest import (
     bf_expected,
+    bf_intersect,
+    bf_vote_set,
     random_edit,
     random_edit_set,
     random_sentence,
@@ -26,7 +28,6 @@ from edit_mbr.combiner import (
     CombineConfig,
     combine_corpus,
     combine_sentence,
-    greedy_combine,
     mbr_select,
     vote_candidates,
 )
@@ -36,11 +37,7 @@ from edit_mbr.edit_core import (
     EditSet,
     apply_edits,
     conflicts,
-    count_votes,
     extract_edits,
-    intersect,
-    union_resolved,
-    vote_set,
 )
 from edit_mbr.m2_io import CorpusEntry, emit_m2, parse_m2, load_parallel
 from edit_mbr.m2_io import Annotation, M2Entry
@@ -117,11 +114,11 @@ def test_c04_voting_correctness():
         systems = random_systems(rng, source_len=rng.randint(4, 10))
         sets = [c.edit_set for c in systems]
         votes = vote_candidates(systems)
-        assert votes[0].edit_set == union_resolved(sets)
-        assert votes[-1].edit_set == intersect(sets)
+        assert votes[0].edit_set == bf_vote_set(sets, 1)
+        assert votes[-1].edit_set == bf_intersect(sets)
         for m, candidate in enumerate(votes, start=1):
             for edit in candidate.edit_set:
-                assert count_votes(edit, sets) >= m
+                assert sum(edit in s for s in sets) >= m
     ok("C4 voting correctness (500 triples)")
 
 
@@ -146,11 +143,11 @@ def test_c05_greedy_vs_exhaustive():
             reward=RewardConfig(kind=kind, beta=beta),
             greedy_pool_threshold=threshold,
         )
-        result = greedy_combine(systems, config)
+        result = combine_sentence(systems, config)
         greedy_score = result.expected_rewards[-1]  # greedy candidate is last
 
-        base = intersect(sets)
-        pool = [e for e in vote_set(sets, min(threshold, len(sets))) if e not in base]
+        base = bf_intersect(sets)
+        pool = [e for e in bf_vote_set(sets, min(threshold, len(sets))) if e not in base]
         assert len(pool) <= 12
         references = [s.edits for s in sets]
         base_edits = list(base.edits)

@@ -2,17 +2,22 @@
 
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 
-from conftest import bf_expected, bf_greedy, bf_vote_set, random_edit_set, random_systems
+from conftest import (
+    bf_expected,
+    bf_greedy,
+    bf_intersect,
+    bf_vote_set,
+    random_edit_set,
+    random_systems,
+)
 from edit_mbr.combiner import (
     REWARD_SET_SPECS,
     CombineConfig,
     combine_corpus,
     combine_sentence,
-    greedy_combine,
     mbr_select,
     vote_candidates,
 )
@@ -23,7 +28,6 @@ from edit_mbr.edit_core import (
     Sentence,
     ValidationError,
     conflicts,
-    intersect,
     tokenize,
     vote_set,
 )
@@ -141,7 +145,7 @@ class TestVoteCandidates:
             sets = [c.edit_set for c in systems]
             votes = vote_candidates(systems)
             assert votes[0].edit_set == vote_set(sets, 1)
-            assert votes[-1].edit_set == intersect(sets)
+            assert votes[-1].edit_set == bf_intersect(sets)
 
     def test_every_threshold_matches_vote_set_with_priority(self):
         # Tie priority is system position, so shuffling the systems reorders it.
@@ -157,7 +161,7 @@ class TestVoteCandidates:
                 assert votes[m - 1].edit_set == vote_set(sets, m)
                 assert votes[m - 1].edit_set == bf_vote_set(sets, m)
             assert vote_set(sets, n + 1) == EditSet(sets[0].source_len)
-            assert votes[-1].edit_set == intersect(sets)
+            assert votes[-1].edit_set == bf_intersect(sets)
 
 
     def test_every_threshold_is_conflict_free_and_holds_the_intersection(self):
@@ -183,7 +187,7 @@ class TestVoteCandidates:
 
 class TestGreedyCombine:
     def test_fixture_default_pool(self):
-        result = greedy_combine(fixture_systems(), config_for("f", strategy="greedy"))
+        result = combine_sentence(fixture_systems(), config_for("f", strategy="greedy"))
         greedy = next(c for c in result.selection if c.label == "greedy")
         assert greedy.edit_set == es(B)
         assert len(result.trace) == 1
@@ -195,7 +199,7 @@ class TestGreedyCombine:
 
     def test_fixture_pool_threshold_one(self):
         config = config_for("f", strategy="greedy", greedy_pool_threshold=1)
-        result = greedy_combine(fixture_systems(), config)
+        result = combine_sentence(fixture_systems(), config)
         greedy = next(c for c in result.selection if c.label == "greedy")
         # d would lower the objective (14/27 < 11/18), so only B is inserted
         assert greedy.edit_set == es(B)
@@ -203,18 +207,18 @@ class TestGreedyCombine:
 
     def test_identical_systems_keep_common_set(self):
         systems = [Candidate(es(B, D), f"s{i}") for i in range(3)]
-        result = greedy_combine(systems, config_for("f", strategy="greedy"))
+        result = combine_sentence(systems, config_for("f", strategy="greedy"))
         greedy = next(c for c in result.selection if c.label == "greedy")
         assert greedy.edit_set == es(B, D)
         assert result.trace == ()
 
     def test_threshold_clamped_to_system_count(self):
         only = [Candidate(es(B), "h1")]
-        result = greedy_combine(only, config_for("f", strategy="greedy"))
+        result = combine_sentence(only, config_for("f", strategy="greedy"))
         assert result.chosen.edit_set == es(B)
 
     def test_selection_order_base_votes_greedy(self):
-        result = greedy_combine(fixture_systems(), config_for("f", strategy="greedy"))
+        result = combine_sentence(fixture_systems(), config_for("f", strategy="greedy"))
         assert [c.label for c in result.selection] == [
             "h1", "h2", "h3", "vote-1", "vote-2", "vote-3", "greedy",
         ]
@@ -226,26 +230,13 @@ class TestGreedyCombine:
             kind = rng.choice(["recall", "precision", "f", "jaccard"])
             threshold = rng.choice([1, 2, 3])
             config = config_for(kind, strategy="greedy", greedy_pool_threshold=threshold)
-            result = greedy_combine(systems, config)
+            result = combine_sentence(systems, config)
             previous = None
             for step in result.trace:
                 assert step.reward_after > step.reward_before
                 if previous is not None:
                     assert step.reward_before == previous.reward_after
                 previous = step
-
-    def test_is_combine_sentence_with_greedy_strategy(self):
-        rng = random.Random(73)
-        for _ in range(150):
-            systems = random_systems(rng, n_systems=rng.randint(1, 5))
-            config = config_for(
-                rng.choice(["recall", "precision", "f", "f-paper", "jaccard"]),
-                strategy=rng.choice(["mbr", "mbr-vote", "greedy"]),
-                reward_set=rng.choice(["base", "base+votes"]),
-                greedy_pool_threshold=rng.choice([1, 2, 3]),
-            )
-            result = greedy_combine(systems, config)
-            assert result == combine_sentence(systems, replace(config, strategy="greedy"))
 
     def test_matches_per_candidate_edit_set_oracle_exactly(self):
         rng = random.Random(101)
@@ -283,12 +274,12 @@ class TestGreedyCombine:
         for _ in range(150):
             systems = random_systems(rng)
             config = config_for("f", strategy="greedy")
-            result = greedy_combine(systems, config)
+            result = combine_sentence(systems, config)
             sets = [c.edit_set for c in systems]
             refs = sets
             greedy_index = len(result.selection) - 1
             greedy_score = result.expected_rewards[greedy_index]
-            intersection_score = expected_reward(intersect(sets), refs, config.reward)
+            intersection_score = expected_reward(bf_intersect(sets), refs, config.reward)
             assert greedy_score >= intersection_score
 
 

@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    bf_align_ops,
     bf_conflicts,
+    bf_edits,
     bf_first_conflict,
+    bf_intersect,
     bf_levenshtein,
+    bf_vote_set,
     random_edit,
     random_edit_set,
     random_sentence,
@@ -25,14 +27,11 @@ from edit_mbr.edit_core import (
     ValidationError,
     apply_edits,
     conflicts,
-    count_votes,
     extract_edits,
     intersect,
     tokenize,
-    union_resolved,
     vote_set,
 )
-from edit_mbr.edit_core import _align_ops, _ops_to_edits
 
 B = Edit(1, 2, ("B",))
 D = Edit(3, 3, ("d",))
@@ -44,11 +43,6 @@ def es(*edits, source_len=3):
 
 
 token_lists = st.lists(st.sampled_from([f"t{i}" for i in range(6)]), max_size=12)
-
-
-def oracle_edits(source, hypothesis):
-    ops = bf_align_ops(source.tokens, hypothesis.tokens)
-    return EditSet(len(source), tuple(_ops_to_edits(ops, hypothesis.tokens)))
 
 
 @st.composite
@@ -393,42 +387,52 @@ class TestExtract:
 
 
 class TestAlignmentKernel:
-    """The bit-parallel alignment against the full-table oracle."""
+    """The bit-parallel extraction against the full-table oracle, edit by edit."""
 
     def test_insertion_before_a_repeated_token_goes_first(self):
         # a -> a a: the canonical alignment inserts at 0, which stripping the
         # common prefix would get wrong (it would insert at 1).
-        assert _align_ops(("a",), ("a", "a")) == ["ins", "match"]
         assert extract_edits(tokenize("a"), tokenize("a a")).edits == (Edit(0, 0, ("a",)),)
 
     def test_identical_pair_is_all_matches(self):
         tokens = tuple(f"t{i % 3}" for i in range(100))
-        assert _align_ops(tokens, tokens) == ["match"] * 100
         assert extract_edits(Sentence(tokens), Sentence(tokens)).edits == ()
 
     def test_empty_sides(self):
-        assert _align_ops((), ()) == []
-        assert _align_ops(("a", "b"), ()) == ["del", "del"]
-        assert _align_ops((), ("a", "b")) == ["ins", "ins"]
+        assert extract_edits(Sentence(), Sentence()).edits == ()
+        assert extract_edits(tokenize("a b"), Sentence()).edits == (Edit(0, 2, ()),)
+        assert extract_edits(Sentence(), tokenize("a b")).edits == (Edit(0, 0, ("a", "b")),)
+
+    @pytest.mark.parametrize(
+        "source, hypothesis, edits",
+        [
+            # an open run reaches column 0 and takes its deletion
+            ("a b", "x", (Edit(0, 2, ("x",)),)),
+            # an open run reaches row 0 and takes its insertion
+            ("a", "x y", (Edit(0, 1, ("x", "y")),)),
+            # no run is open when the backtrace reaches column 0
+            ("x a", "a", (Edit(0, 1, ()),)),
+            # a match closes a run, and a later run reaches column 0
+            ("x a b c", "a y c", (Edit(0, 1, ()), Edit(2, 3, ("y",)))),
+        ],
+    )
+    def test_runs_reaching_the_first_row_or_column(self, source, hypothesis, edits):
+        source, hypothesis = tokenize(source), tokenize(hypothesis)
+        assert extract_edits(source, hypothesis).edits == edits
+        assert bf_edits(source, hypothesis).edits == edits
 
     @given(repetitive_pairs())
     @settings(max_examples=300, deadline=None)
     def test_matches_oracle_on_repetitive_tokens(self, pair):
         source, hypothesis = pair
-        assert _align_ops(source.tokens, hypothesis.tokens) == bf_align_ops(
-            source.tokens, hypothesis.tokens
-        )
-        assert extract_edits(source, hypothesis) == oracle_edits(source, hypothesis)
+        assert extract_edits(source, hypothesis) == bf_edits(source, hypothesis)
 
     def test_matches_oracle_on_random_pairs(self):
         rng = random.Random(2309)
         for _ in range(20_000):
             source, hypothesis = random_pair(rng)
-            assert _align_ops(source.tokens, hypothesis.tokens) == bf_align_ops(
-                source.tokens, hypothesis.tokens
-            ), (source, hypothesis)
             got = extract_edits(source, hypothesis)
-            assert got == oracle_edits(source, hypothesis), (source, hypothesis)
+            assert got == bf_edits(source, hypothesis), (source, hypothesis)
 
 
 class TestApply:
@@ -451,28 +455,23 @@ class TestVotesAndAlgebra:
     def sets(self):
         return [es(B), es(B, D), es()]
 
-    def test_count_votes(self):
-        assert count_votes(B, self.sets()) == 2
-        assert count_votes(D, self.sets()) == 1
-        assert count_votes(B, []) == 0
-
     def test_intersect_and_union(self):
         assert intersect(self.sets()) == es()
-        assert union_resolved(self.sets()) == es(B, D)
+        assert vote_set(self.sets(), 1) == es(B, D)
 
     def test_identical_sets(self):
         sets = [es(B), es(B)]
         assert intersect(sets) == es(B)
-        assert union_resolved(sets) == es(B)
+        assert vote_set(sets, 1) == es(B)
 
     def test_union_resolves_conflicts_by_votes(self):
         sets = [es(B), es(X), es(B)]
-        assert union_resolved(sets) == es(B)
+        assert vote_set(sets, 1) == es(B)
 
     def test_union_resolves_vote_ties_by_priority(self):
         # Tie priority is system position: the earliest proposer wins.
-        assert union_resolved([es(B), es(X)]) == es(B)
-        assert union_resolved([es(X), es(B)]) == es(X)
+        assert vote_set([es(B), es(X)], 1) == es(B)
+        assert vote_set([es(X), es(B)], 1) == es(X)
 
     def test_vote_set_threshold(self):
         sets = self.sets()
@@ -493,12 +492,10 @@ class TestVotesAndAlgebra:
         for _ in range(200):
             sets = [random_edit_set(rng, 8) for _ in range(3)]
             inter = intersect(sets)
-            union = union_resolved(sets)
+            union = vote_set(sets, 1)
+            assert inter == bf_intersect(sets)
+            assert union == bf_vote_set(sets, 1)
             for edit in inter:
                 assert all(edit in member for member in sets)
-                assert count_votes(edit, sets) == len(sets)
-            for member in sets:
-                for edit in member:
-                    assert count_votes(edit, sets) >= 1
             for edit in union:
-                assert count_votes(edit, sets) >= 1
+                assert sum(edit in s for s in sets) >= 1
