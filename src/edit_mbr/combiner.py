@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
+from operator import add
 
 from .edit_core import (
     Candidate,
@@ -78,19 +79,23 @@ class CombineResult:
 
 def mbr_select(
     selection_set: Sequence[Candidate],
-    reward_set: Sequence[Candidate],
+    reward_set: Sequence[Candidate] | RewardSet,
     config: CombineConfig,
 ) -> CombineResult:
     """Pick the candidate with the highest expected reward against ``reward_set``.
 
-    The first candidate attaining the maximum wins, so the selection order is
-    the tie-break policy (base systems in input order, then vote candidates
-    by threshold, then greedy).
+    ``reward_set`` is the candidates to average over, or their ``RewardSet``
+    when the caller has built one already.  The first candidate attaining the
+    maximum wins, so the selection order is the tie-break policy (base
+    systems in input order, then vote candidates by threshold, then greedy).
     """
     selection = tuple(selection_set)
     if not selection:
         raise ValueError("selection set must be non-empty")
-    table = RewardSet([candidate.edit_set for candidate in reward_set])
+    if isinstance(reward_set, RewardSet):
+        table = reward_set
+    else:
+        table = RewardSet([candidate.edit_set for candidate in reward_set])
     scores = tuple(
         expected_reward(candidate.edit_set, table, config.reward) for candidate in selection
     )
@@ -123,9 +128,16 @@ def combine_sentence(systems: Sequence[Candidate], config: CombineConfig) -> Com
     threshold (clamped to N) minus the working set.  Both lie inside that one
     conflict-free vote set, so no pool edit conflicts with the working set.
     Each round scores every pool edit and commits the insertion that raises
-    the expected reward the most, stopping when no insertion strictly
-    improves it.  Candidates are scored as bitmasks over one ``RewardSet``
-    (working set plus the edit's bit); the grown ``EditSet`` is built once.
+    the expected reward the most (the first maximum), stopping when no
+    insertion strictly improves it.
+
+    One ``RewardSet`` serves the whole sentence, greedy rounds and final
+    selection alike.  A round scores the whole pool in one
+    ``expected_insertions`` call, from the working set's per-member overlaps
+    and each pool edit's fixed 0/1 holder vector; the grown ``EditSet`` is
+    built once.  The overlaps are those of the grown set itself, and the
+    reward rows hold the ``_score`` values, so the floats are those of
+    scoring each grown set against each member.
     """
     systems = list(systems)
     if not systems:
@@ -141,23 +153,20 @@ def combine_sentence(systems: Sequence[Candidate], config: CombineConfig) -> Com
     working = votes[-1].edit_set
     threshold = min(config.greedy_pool_threshold, len(systems))
     pool = [edit for edit in votes[threshold - 1].edit_set if edit not in working]
-    bits = [table.bit(edit) for edit in pool]
+    holders = [table.overlaps(table.bit(edit)) for edit in pool]
     current = expected_reward(working, table, config.reward)
-    mask, size = table.mask(working), len(working)
+    overlaps, size = table.overlaps(table.mask(working)), len(working)
     trace: list[GreedyStep] = []
     while pool:
-        best_index = -1
-        best_score = current
-        for index, bit in enumerate(bits):
-            score = table.expected(mask | bit, size + 1, config.reward)
-            if score > best_score:
-                best_index, best_score = index, score
-        if best_index < 0:
+        scores = table.expected_insertions(overlaps, size + 1, holders, config.reward)
+        best = max(range(len(scores)), key=scores.__getitem__)
+        if not scores[best] > current:
             break
-        trace.append(GreedyStep(pool.pop(best_index), current, best_score))
-        mask, size, current = mask | bits.pop(best_index), size + 1, best_score
+        trace.append(GreedyStep(pool.pop(best), current, scores[best]))
+        overlaps = list(map(add, overlaps, holders.pop(best)))
+        size, current = size + 1, scores[best]
     grown = EditSet(working.source_len, working.edits + tuple(step.edit for step in trace))
-    result = mbr_select(selection + [Candidate(grown, "greedy")], reward_cands, config)
+    result = mbr_select(selection + [Candidate(grown, "greedy")], table, config)
     return replace(result, trace=tuple(trace))
 
 

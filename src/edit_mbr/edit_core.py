@@ -163,6 +163,14 @@ class EditSet:
         return edit in self.edits
 
 
+def check_source_len(source_len: int, edit_set: EditSet) -> None:
+    """Raise ``ValidationError`` unless ``edit_set`` was built for ``source_len`` tokens."""
+    if edit_set.source_len != source_len:
+        raise ValidationError(
+            f"edit sets disagree on source length: {source_len} vs {edit_set.source_len}"
+        )
+
+
 @dataclass(frozen=True, slots=True)
 class Candidate:
     """An edit set plus a provenance label (system name, vote-m, greedy)."""
@@ -309,10 +317,19 @@ def vote_sets(sets: Sequence[EditSet]) -> list[EditSet]:
         if not occupied & mask:
             kept.append(edit)
             occupied |= mask
-    return [
-        EditSet(sets[0].source_len, tuple(e for e in kept if votes[e] >= m))
-        for m in range(1, len(sets) + 1)
-    ]
+    # ``kept`` is in vote order, so each threshold's edits are a prefix of it;
+    # a threshold that adds no edit reuses the set above it.
+    by_threshold: list[EditSet] = []
+    edit_set, size = None, 0
+    for m in range(len(sets), 0, -1):
+        grown = size
+        while grown < len(kept) and votes[kept[grown]] >= m:
+            grown += 1
+        if edit_set is None or grown > size:
+            edit_set, size = EditSet(sets[0].source_len, tuple(kept[:grown])), grown
+        by_threshold.append(edit_set)
+    by_threshold.reverse()
+    return by_threshold
 
 
 def vote_set(sets: Sequence[EditSet], min_votes: int) -> EditSet:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .edit_core import EditSet
+from .edit_core import EditSet, check_source_len
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,13 +43,15 @@ def score_sentence(hyp: EditSet, refs: Sequence[EditSet], beta: float = 0.5) -> 
     """Score one sentence against every annotator and keep the best one.
 
     The annotator maximizing sentence F wins; ties prefer more true
-    positives, then the earlier annotator.
+    positives, then the earlier annotator.  Every reference must be built
+    for the hypothesis's source length (``ValidationError`` otherwise).
     """
     if not refs:
         raise ValueError("need at least one reference annotator")
     hyp_edits = frozenset(hyp.edits)
     best: ScoreReport | None = None
     for ref in refs:
+        check_source_len(hyp.source_len, ref)
         tp = len(hyp_edits.intersection(ref.edits))
         report = _from_counts(tp, len(hyp) - tp, len(ref) - tp, beta)
         if best is None or (report.f, report.tp) > (best.f, best.tp):

@@ -10,7 +10,6 @@ from conftest import (
     bf_greedy,
     bf_intersect,
     bf_vote_set,
-    random_edit_set,
     random_systems,
 )
 from edit_mbr.combiner import (
@@ -25,14 +24,13 @@ from edit_mbr.edit_core import (
     Candidate,
     Edit,
     EditSet,
-    Sentence,
     ValidationError,
     conflicts,
     tokenize,
     vote_set,
 )
 from edit_mbr.m2_io import CorpusEntry
-from edit_mbr.rewards import REWARD_KINDS, RewardConfig, expected_reward
+from edit_mbr.rewards import REWARD_KINDS, RewardConfig, RewardSet, expected_reward
 
 B = Edit(1, 2, ("B",))
 D = Edit(3, 3, ("d",))
@@ -104,6 +102,18 @@ class TestMbrSelect:
             scores = [bf_expected(kind, refs, c.edit_set.edits) for c in systems]
             chosen_index = result.selection.index(result.chosen)
             assert max(scores) == pytest.approx(scores[chosen_index], abs=1e-12)
+
+    def test_reward_set_table_or_candidates_give_the_same_result(self):
+        rng = random.Random(47)
+        for _ in range(200):
+            systems = random_systems(rng)
+            selection = systems + vote_candidates(systems)
+            table = RewardSet([candidate.edit_set for candidate in systems])
+            for kind in REWARD_KINDS:
+                config = config_for(kind)
+                assert mbr_select(selection, table, config) == mbr_select(
+                    selection, systems, config
+                )
 
     def test_argmax_invariant_under_affine_reward_map(self):
         rng = random.Random(43)

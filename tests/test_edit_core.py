@@ -31,6 +31,7 @@ from edit_mbr.edit_core import (
     intersect,
     tokenize,
     vote_set,
+    vote_sets,
 )
 
 B = Edit(1, 2, ("B",))
@@ -478,6 +479,14 @@ class TestVotesAndAlgebra:
         assert vote_set(sets, 1) == es(B, D)
         assert vote_set(sets, 2) == es(B)
         assert vote_set(sets, 3) == es()
+
+    def test_threshold_adding_no_edit_reuses_the_set_above(self):
+        # B has 3 votes, D 1: thresholds 2 and 3 hold B alone, 4 nothing.
+        sets = [es(B, D), es(B), es(B), es()]
+        by_threshold = vote_sets(sets)
+        assert by_threshold == [es(B, D), es(B), es(B), es()]
+        assert by_threshold[1] is by_threshold[2]
+        assert len({id(edit_set) for edit_set in by_threshold}) == 3
 
     def test_source_length_mismatch_rejected(self):
         with pytest.raises(ValidationError):

@@ -1,11 +1,10 @@
 """Reward functions: formula values, conventions, and algebraic properties."""
 
-import math
 import random
 
 import pytest
 
-from conftest import bf_expected, bf_reward, random_edit_set
+from conftest import bf_conflicts, bf_expected, bf_reward, random_edit_set
 from edit_mbr.edit_core import Edit, EditSet, ValidationError
 from edit_mbr.rewards import REWARD_KINDS, RewardConfig, RewardSet, expected_reward, reward
 
@@ -238,3 +237,50 @@ class TestRewardSet:
             expected_reward(EditSet(5, (B,)), [es(B), es()], RewardConfig())
         with pytest.raises(ValidationError):
             expected_reward(es(B), [es(B), EditSet(5, (B,))], RewardConfig())
+
+
+class TestRewardRows:
+    CONFIGS = [
+        RewardConfig(kind=kind, beta=beta)
+        for kind in REWARD_KINDS
+        for beta in (0.3, 0.5, 1.0, 2.0)
+    ]
+
+    def test_interleaved_configs_on_one_table_match_brute_force_exactly(self):
+        # One table scored under every config in turn, twice over, so a row
+        # cached for one (size, kind, beta) is looked up again under the others.
+        rng = random.Random(53)
+        for _ in range(100):
+            source_len = rng.randint(0, 10)
+            refs = [random_edit_set(rng, source_len) for _ in range(rng.randint(1, 6))]
+            hyps = [random_edit_set(rng, source_len) for _ in range(3)] + refs[:2]
+            table = RewardSet(refs)
+            ref_edits = [ref.edits for ref in refs]
+            for config in self.CONFIGS * 2:
+                for hyp in hyps:
+                    got = expected_reward(hyp, table, config)
+                    assert got == bf_expected(config.kind, ref_edits, hyp.edits, config.beta)
+
+    def test_insertions_score_as_the_grown_sets(self):
+        rng = random.Random(59)
+        for _ in range(200):
+            source_len = rng.randint(1, 10)
+            refs = [random_edit_set(rng, source_len) for _ in range(rng.randint(1, 6))]
+            hyp = random_edit_set(rng, source_len)
+            table = RewardSet(refs)
+            extra = dict.fromkeys(
+                edit
+                for ref in refs
+                for edit in ref
+                if edit not in hyp and not any(bf_conflicts(edit, e) for e in hyp)
+            )
+            holders = [table.overlaps(table.bit(edit)) for edit in extra]
+            overlaps = table.overlaps(table.mask(hyp))
+            for config in self.CONFIGS:
+                got = table.expected_insertions(overlaps, len(hyp) + 1, holders, config)
+                want = [
+                    expected_reward(EditSet(source_len, hyp.edits + (edit,)), refs, config)
+                    for edit in extra
+                ]
+                assert got == want
+

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import random_edit_set
-from edit_mbr.edit_core import Edit, EditSet
+from edit_mbr.edit_core import Edit, EditSet, ValidationError
 from edit_mbr.scorer import score_corpus, score_sentence
 
 B = Edit(1, 2, ("B",))
@@ -57,6 +57,12 @@ class TestScoreSentence:
     def test_empty_refs_rejected(self):
         with pytest.raises(ValueError):
             score_sentence(es(B), [], beta=0.5)
+
+    def test_reference_for_another_source_length_rejected(self):
+        with pytest.raises(ValidationError, match="disagree on source length: 3 vs 9"):
+            score_sentence(EditSet(3, (B,)), [EditSet(9, (B,))])
+        with pytest.raises(ValidationError, match="disagree on source length: 4 vs 5"):
+            score_sentence(es(B), [es(B), es(B, source_len=5)])
 
 
 class TestScoreCorpus:
