@@ -284,8 +284,9 @@ def cmd_score(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     sources = load_sentences(args.source)
-    hyp_sets = load_hypothesis_sets(args.hypothesis, sources, args.source)
-    ref_entries = load_matching_m2(args.reference, sources, args.source)
+    memos = [{} for _ in sources]
+    hyp_sets = load_hypothesis_sets(args.hypothesis, sources, args.source, memos)
+    ref_entries = load_matching_m2(args.reference, sources, args.source, memos)
     ref_sets = []
     for index, entry in enumerate(ref_entries):
         if not entry.annotations:
@@ -385,7 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", help="write a manifest to this path")
     p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("apply", help="apply annotator-0 edits from an M2 file to source text")
+    p = sub.add_parser(
+        "apply", help="apply each entry's lowest-id annotator's edits from an M2 file to source text"
+    )
     p.add_argument("source", help="source corpus")
     p.add_argument("m2", help="M2 file with the edits to apply")
     p.add_argument("out", help="output text path")

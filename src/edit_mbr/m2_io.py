@@ -129,7 +129,11 @@ def _annotator_id(field: str, line_no: int) -> int:
     return annotator
 
 
-def parse_m2(text: str) -> list[M2Entry]:
+def parse_m2(
+    text: str,
+    sources: Sequence[Sentence] | None = None,
+    memos: Sequence[dict] | None = None,
+) -> list[M2Entry]:
     """Parse M2 file content into entries.
 
     Raises ``M2ParseError`` (with a line number) for malformed lines,
@@ -141,6 +145,18 @@ def parse_m2(text: str) -> list[M2Entry]:
     field and shares that line's ``Edit``.  The entry's source, and with it
     the range check, is the same for both lines, so errors, their line
     numbers and the entries returned are those of checking every line in full.
+
+    ``sources`` are the sentences the entries are expected to hold, as read
+    by the caller.  When the text of entry k's ``S`` line equals
+    ``sources[k].text()``, the entry reuses that ``Sentence`` and takes
+    ``memos[k]`` (when given) as its memo of valid edit lines, so files
+    parsed against one list of sources and memos check a line that an
+    earlier file's entry k already held only for its annotator id.  Any
+    other ``S`` line (another source, other spacing, an entry past the end
+    of ``sources``) builds a fresh ``Sentence`` with a memo of its own, so a
+    line checked against one source is never taken on trust for another.
+    Whether the sources match is the caller's check: the entries returned
+    equal those of ``parse_m2(text)``.
     """
     entries: list[M2Entry] = []
     source: Sentence | None = None
@@ -148,12 +164,14 @@ def parse_m2(text: str) -> list[M2Entry]:
     # Per annotator, each distinct edit with the type of its first line.
     pending: dict[int, dict[Edit, str]] = {}
     # Valid edit lines of the current entry: text before the last '|||' ->
-    # (edit, type).  Empty whenever ``source`` is None.
+    # (edit, type).  Taken from ``memos`` when the entry matches its source,
+    # so never cleared in place; empty whenever ``source`` is None.
     parsed: dict[str, tuple[Edit, str]] = {}
+    sources = sources or ()
     entry_line = 0
 
     def close() -> None:
-        nonlocal source, pending
+        nonlocal source, pending, parsed
         if source is None:
             return
         annotations = []
@@ -170,7 +188,7 @@ def parse_m2(text: str) -> list[M2Entry]:
         entries.append(M2Entry(source, tuple(annotations)))
         source = None
         pending = {}
-        parsed.clear()
+        parsed = {}
 
     for line_no, line in enumerate(_lines(text), start=1):
         if line.startswith("A "):
@@ -223,10 +241,16 @@ def parse_m2(text: str) -> list[M2Entry]:
             close()
         elif line == "S" or line.startswith("S "):
             close()
-            try:
-                source = Sentence(tuple(line[2:].split()))
-            except ValidationError as exc:
-                raise M2ParseError(f"line {line_no}: {exc}") from exc
+            index = len(entries)
+            if index < len(sources) and line[2:] == sources[index].text():
+                source = sources[index]
+                if memos is not None:
+                    parsed = memos[index]
+            else:
+                try:
+                    source = Sentence(tuple(line[2:].split()))
+                except ValidationError as exc:
+                    raise M2ParseError(f"line {line_no}: {exc}") from exc
             source_len = len(source)
             pending = {}
             entry_line = line_no
@@ -282,9 +306,20 @@ def load_sentences(path) -> list[Sentence]:
     return [tokenize(line) for line in _lines(_read_text(path))]
 
 
-def load_matching_m2(path, sources: Sequence[Sentence], source_name) -> list[M2Entry]:
-    """Parse an M2 file whose entries must match ``sources`` one to one."""
-    entries = parse_m2(_read_text(path))
+def load_matching_m2(
+    path, sources: Sequence[Sentence], source_name, memos: Sequence[dict] | None = None
+) -> list[M2Entry]:
+    """Parse an M2 file whose entries must match ``sources`` one to one.
+
+    The file is parsed against ``sources`` (see ``parse_m2``): an entry whose
+    ``S`` line holds its source's text reuses that ``Sentence``.  Hand every
+    M2 file of one call the same ``memos``, one dict per source (say
+    ``[{} for _ in sources]``), and a later file checks an edit line that an
+    earlier file's same entry held only for its annotator id.  A count or
+    source mismatch is raised after parsing, so a malformed line is reported
+    first, as it would be without ``sources``.
+    """
+    entries = parse_m2(_read_text(path), sources, memos)
     if len(entries) != len(sources):
         raise ValidationError(
             f"{path}: {len(entries)} entries, but {source_name} has {len(sources)} lines"
@@ -295,14 +330,19 @@ def load_matching_m2(path, sources: Sequence[Sentence], source_name) -> list[M2E
     return entries
 
 
-def load_hypothesis_sets(path, sources: Sequence[Sentence], source_name) -> list[EditSet]:
+def load_hypothesis_sets(
+    path, sources: Sequence[Sentence], source_name, memos: Sequence[dict] | None = None
+) -> list[EditSet]:
     """One edit set per source line from a text or M2 hypothesis file.
 
-    ``.m2`` files are parsed (their sources must match ``sources``); anything
-    else is read as text and aligned with ``extract_edits``.
+    ``.m2`` files are parsed (their sources must match ``sources``, and
+    ``memos`` is passed on to ``load_matching_m2``) and give their
+    lowest-id annotator's edits; anything else is read as text and aligned
+    with ``extract_edits``.
     """
     if str(path).lower().endswith(".m2"):
-        return [primary_edit_set(entry) for entry in load_matching_m2(path, sources, source_name)]
+        entries = load_matching_m2(path, sources, source_name, memos)
+        return [primary_edit_set(entry) for entry in entries]
     hyps = load_sentences(path)
     if len(hyps) != len(sources):
         raise ValidationError(
@@ -330,13 +370,16 @@ def load_parallel(source_path, hyp_paths: Sequence) -> tuple[CorpusEntry, ...]:
     one ``CorpusEntry`` per source line, ready for ``combine_corpus``.
 
     Hypothesis edits are extracted on load; ``.m2`` hypothesis files are
-    parsed instead.  System labels come from the file stems, deduplicated as
-    ``stem.2``, ``stem.3``, ...; a stem equal to ``greedy`` or ``vote-<m>`` is
-    deduplicated the same way, so every label in a ``--report`` line is unique.
+    parsed instead, all against one list of per-entry memos, so an edit line
+    that several systems share is checked in full once.  System labels come
+    from the file stems, deduplicated as ``stem.2``, ``stem.3``, ...; a stem
+    equal to ``greedy`` or ``vote-<m>`` is deduplicated the same way, so
+    every label in a ``--report`` line is unique.
     """
     sources = load_sentences(source_path)
     labels = _labels_for(hyp_paths)
-    columns = [load_hypothesis_sets(path, sources, source_path) for path in hyp_paths]
+    memos = [{} for _ in sources]
+    columns = [load_hypothesis_sets(path, sources, source_path, memos) for path in hyp_paths]
     return tuple(
         CorpusEntry(
             source=source,

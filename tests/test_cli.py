@@ -109,6 +109,33 @@ class TestExtractApply:
         assert manifest["outputs"][str(src)] == digest(src) != before
 
 
+
+class TestLowestIdAnnotator:
+    """``apply`` and an ``.m2`` system of ``combine`` take each entry's
+    lowest-id annotator, whatever its id, not annotator 0."""
+
+    M2 = (
+        "S a b c\n"
+        "A 2 3|||UNK|||C|||REQUIRED|||-NONE-|||3\n"
+        "A 1 2|||UNK|||B|||REQUIRED|||-NONE-|||1\n\n"
+        "S x y\n"
+        "A 0 1|||UNK|||X|||REQUIRED|||-NONE-|||2\n\n"
+    )
+
+    def test_apply(self, tmp_path):
+        src = write(tmp_path / "src.txt", ["a b c", "x y"])
+        m2 = tmp_path / "ann.m2"
+        m2.write_text(self.M2, encoding="utf-8")
+        assert main(["apply", str(src), str(m2), str(tmp_path / "out.txt")]) == 0
+        assert (tmp_path / "out.txt").read_text() == "a B c\nX y\n"
+
+    def test_combine_m2_system(self, tmp_path):
+        src = write(tmp_path / "src.txt", ["a b c", "x y"])
+        m2 = tmp_path / "ann.m2"
+        m2.write_text(self.M2, encoding="utf-8")
+        assert main(["combine", str(src), str(m2), "-o", str(tmp_path / "out.txt")]) == 0
+        assert (tmp_path / "out.txt").read_text() == "a B c\nX y\n"
+
 class TestCombine:
     def run_combine(self, corpus, out, *extra):
         argv = [

@@ -12,6 +12,7 @@ from edit_mbr.m2_io import (
     M2Entry,
     M2ParseError,
     emit_m2,
+    load_matching_m2,
     load_parallel,
     load_sentences,
     parse_m2,
@@ -124,6 +125,21 @@ def _line(span, type_str="UNK", replacement="x", annotator="0", flag="REQUIRED")
     return f"A {span}|||{type_str}|||{replacement}|||{flag}|||-NONE-|||{annotator}"
 
 
+def _mutate(rng: random.Random, line: str) -> str:
+    """An annotation line broken in one of several ways."""
+    head = line.rpartition("|||")[0]
+    rest = line.partition("|||")[2]
+    return rng.choice(
+        [
+            head,  # five fields
+            line + "|||extra",  # seven fields
+            f"{head}|||{rng.choice(['x', '-1', '', '1.0', ' 2 ', '|0', '||1'])}",
+            line.replace("|||-NONE-|||", "|||-NONE-|||" + rng.choice(["|", "||", "x|"]), 1),
+            f"A {rng.choice(['1', '1 x', 'a b', '1 2 3', '0 9', '3 1', '-1 0'])}|||{rest}",
+        ]
+    )
+
+
 def _random_m2(rng: random.Random) -> str:
     """Multi-annotator M2 text whose annotators mostly repeat each other's
     lines, with some lines reused across entries and some lines malformed."""
@@ -158,23 +174,10 @@ def _random_m2(rng: random.Random) -> str:
             lines.append(rng.choice(shared))
         lines.append(rng.choice(["", "", "  ", "\r"]))
 
-    def mutate(line: str) -> str:
-        head = line.rpartition("|||")[0]
-        rest = line.partition("|||")[2]
-        return rng.choice(
-            [
-                head,  # five fields
-                line + "|||extra",  # seven fields
-                f"{head}|||{rng.choice(['x', '-1', '', '1.0', ' 2 ', '|0', '||1'])}",
-                line.replace("|||-NONE-|||", "|||-NONE-|||" + rng.choice(["|", "||", "x|"]), 1),
-                f"A {rng.choice(['1', '1 x', 'a b', '1 2 3', '0 9', '3 1', '-1 0'])}|||{rest}",
-            ]
-        )
-
     for _ in range(rng.choice([0, 0, 1, 2])):
         index = rng.randrange(len(lines))
         if lines[index].startswith("A ") and rng.random() < 0.8:
-            lines[index] = mutate(lines[index])
+            lines[index] = _mutate(rng, lines[index])
         else:
             lines.insert(index, rng.choice(["S", "Sx", "A", "junk", "A 1|||broken", "", "B 1 2"]))
     return "\n".join(lines) + rng.choice(["", "\n"])
@@ -231,6 +234,201 @@ class TestParseMemo:
         assert first.edits == second.edits == third.edits == EditSet(3, (B,))
         assert first.edits.edits[0] is third.edits.edits[0]
 
+
+
+def _system_files(rng: random.Random) -> tuple[list[str], list[str]]:
+    """Source lines plus the M2 text of two to four system files over them.
+
+    Later files repeat most of the first file's edit lines for the same
+    entry, some broken, some with another annotator id; now and then a later
+    file's ``S`` line holds another source (a token dropped or added) or
+    the same tokens spaced another way, or the file holds an entry too many
+    or too few."""
+    sources = [
+        " ".join(f"t{rng.randrange(4)}" for _ in range(rng.randint(0, 6)))
+        for _ in range(rng.randint(1, 5))
+    ]
+    first = []
+    for source in sources:
+        length = len(source.split())
+        lines = []
+        for start in sorted(rng.sample(range(length + 1), rng.randint(0, min(3, length + 1)))):
+            end = min(length, start + rng.randint(0, 1))
+            replacement = rng.choice(["x", "y z", "-NONE-"][: 3 if end > start else 2])
+            for annotator in rng.sample(range(3), rng.randint(1, 2)):
+                type_str = rng.choice(["R:NOUN", "M:DET"])
+                lines.append(_line(f"{start} {end}", type_str, replacement, str(annotator)))
+        first.append(lines or [_line("-1 -1", "noop", "-NONE-")])
+    files = []
+    for number in range(rng.randint(2, 4)):
+        blocks = []
+        for source, lines in zip(sources, first):
+            s_line = f"S {source}" if source or rng.random() < 0.5 else "S"
+            if number and rng.random() < 0.2:
+                tokens = source.split()
+                s_line = "S " + rng.choice(
+                    [
+                        " ".join(tokens[:-1]),  # shorter: a shared span may fall outside
+                        " ".join(tokens + ["t9"]),
+                        "  ".join(tokens),
+                        "\t".join(tokens) + " ",
+                        " " + source,
+                    ]
+                )
+            body = [line for line in lines if not number or rng.random() < 0.8]
+            for index, line in enumerate(body):
+                if number and rng.random() < 0.1:
+                    body[index] = rng.choice(
+                        [
+                            _mutate(rng, line),
+                            line.rpartition("|||")[0] + rng.choice(["|||x", "|||-1", "|||7"]),
+                        ]
+                    )
+            if number and lines and rng.random() < 0.1:  # the first line's span, another edit
+                fields = lines[0][2:].split("|||")
+                body.append(_line(fields[0], "R:NOUN", "w", fields[5]))
+            blocks.append("\n".join([s_line, *body]))
+        if number and rng.random() < 0.1:  # an entry too many or too few
+            if rng.random() < 0.5:
+                blocks.append(blocks[-1])
+            else:
+                blocks.pop()
+        files.append("".join(block + "\n\n" for block in blocks))
+    return sources, files
+
+
+def _bf_load_matching(text, sources, path, source_name):
+    """``load_matching_m2`` as it was: a full parse, then count and ``==`` checks."""
+    entries = bf_parse_m2(text)
+    if len(entries) != len(sources):
+        raise ValidationError(
+            f"{path}: {len(entries)} entries, but {source_name} has {len(sources)} lines"
+        )
+    for index, (entry, source) in enumerate(zip(entries, sources), start=1):
+        if entry.source != source:
+            raise ValidationError(f"{path}: entry {index} source differs from {source_name}")
+    return entries
+
+
+class TestSharedMemo:
+    """Files parsed against one call's sources share one memo per entry,
+    with the outcome of parsing each file alone and comparing its sources."""
+
+    def write(self, tmp_path, sources, files):
+        (tmp_path / "src.txt").write_text("".join(s + "\n" for s in sources), encoding="utf-8")
+        paths = []
+        for number, text in enumerate(files):
+            paths.append(tmp_path / f"sys{number}.m2")
+            paths[-1].write_text(text, encoding="utf-8")
+        return tmp_path / "src.txt", paths
+
+    def test_each_file_matches_a_full_parse_and_source_check(self, tmp_path):
+        rng = random.Random(11)
+        kinds = {"ok": 0, "error": 0}
+        for _ in range(400):
+            source_lines, files = _system_files(rng)
+            src, paths = self.write(tmp_path, source_lines, files)
+            sources = load_sentences(src)
+            memos = [{} for _ in sources]
+            # Every file is parsed, even after an earlier one failed: the memo
+            # holds only lines that passed, so it must stay sound for the rest.
+            for path, text in zip(paths, files):
+                want = _outcome(lambda t: _bf_load_matching(t, sources, path, src), text)
+                got = _outcome(lambda p: load_matching_m2(p, sources, src, memos), path)
+                assert got == want, text
+                kinds["ok" if isinstance(want, list) else "error"] += 1
+        assert min(kinds.values()) > 150
+
+    def test_load_parallel_matches_per_file_oracle(self, tmp_path):
+        rng = random.Random(12)
+        for _ in range(300):
+            source_lines, files = _system_files(rng)
+            src, paths = self.write(tmp_path, source_lines, files)
+            sources = load_sentences(src)
+
+            def oracle(_):
+                columns = []
+                for path, text in zip(paths, files):
+                    entries = _bf_load_matching(text, sources, path, src)
+                    columns.append([
+                        entry.annotations[0].edits if entry.annotations
+                        else EditSet(len(entry.source))
+                        for entry in entries
+                    ])
+                return [tuple(column[i] for column in columns) for i in range(len(sources))]
+
+            def loaded(_):
+                corpus = load_parallel(src, paths)
+                assert [entry.source for entry in corpus] == sources
+                return [tuple(c.edit_set for c in entry.systems) for entry in corpus]
+
+            assert _outcome(loaded, None) == _outcome(oracle, None), files
+
+    def test_matching_source_line_reuses_the_sentence(self, tmp_path):
+        line = _line("1 2", "R:NOUN", "B")
+        text = f"S a b c\n{line}\n\nS x y\nA -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||0\n\n"
+        src, paths = self.write(tmp_path, ["a b c", "x  y"], [text, text])
+        sources = load_sentences(src)
+        memos = [{} for _ in sources]
+        first, second = (load_matching_m2(path, sources, src, memos) for path in paths)
+        assert all(entry.source is source for entry, source in zip(first, sources))
+        assert second[0].annotations[0].edits.edits[0] is first[0].annotations[0].edits.edits[0]
+        assert list(memos[0]) == [line.rpartition("|||")[0]]
+
+    @pytest.mark.parametrize("s_line", ["S a  b c", "S a\tb c", "S a b c ", "S  a b c"])
+    def test_other_spacing_is_accepted_with_a_fresh_sentence_and_private_memo(
+        self, tmp_path, s_line
+    ):
+        line = _line("1 2", "R:NOUN", "B")
+        src, paths = self.write(
+            tmp_path, ["a b c"], [f"S a b c\n{line}\n", f"{s_line}\n{line}\n"]
+        )
+        sources = load_sentences(src)
+        memos = [{} for _ in sources]
+        first, second = (load_matching_m2(path, sources, src, memos) for path in paths)
+        assert second == first
+        assert second[0].source == sources[0] and second[0].source is not sources[0]
+        edit = second[0].annotations[0].edits.edits[0]
+        assert edit == B and edit is not first[0].annotations[0].edits.edits[0]
+
+    def test_later_short_source_checks_a_shared_line_in_full(self, tmp_path):
+        line = _line("3 4", "UNK", "x")
+        src, paths = self.write(
+            tmp_path, ["a b c d"], [f"S a b c d\n{line}\n", f"S a b\n{_line('0 1')}\n{line}\n"]
+        )
+        sources = load_sentences(src)
+        memos = [{} for _ in sources]
+        load_matching_m2(paths[0], sources, src, memos)
+        with pytest.raises(M2ParseError, match="^line 3: edit span 3 4 out of range"):
+            load_matching_m2(paths[1], sources, src, memos)
+
+    def test_later_repeat_checks_its_own_annotator(self, tmp_path):
+        line = _line("1 2", "UNK", "B")
+        src, paths = self.write(
+            tmp_path, ["a b c"], [f"S a b c\n{line}\n", f"S a b c\n{line[:-1]}x\n"]
+        )
+        sources = load_sentences(src)
+        memos = [{} for _ in sources]
+        load_matching_m2(paths[0], sources, src, memos)
+        with pytest.raises(M2ParseError, match="^line 2: non-integer annotator id$"):
+            load_matching_m2(paths[1], sources, src, memos)
+
+    def test_entries_past_the_sources_parse_before_the_count_check(self, tmp_path):
+        entry = f"S a b c\n{_line('1 2', 'UNK', 'B')}\n\n"
+        src, paths = self.write(tmp_path, ["a b c"], [entry, entry + entry + "S a\nA 0 3|||x"])
+        sources = load_sentences(src)
+        memos = [{} for _ in sources]
+        load_matching_m2(paths[0], sources, src, memos)
+        with pytest.raises(M2ParseError, match="^line 8: expected 6"):
+            load_matching_m2(paths[1], sources, src, memos)
+        paths[1].write_text(entry + entry, encoding="utf-8")
+        with pytest.raises(ValidationError, match="2 entries, but .* has 1 lines$"):
+            load_matching_m2(paths[1], sources, src, memos)
+
+    def test_without_sources_every_entry_is_parsed_alone(self):
+        text = f"S a b c\n{_line('1 2', 'UNK', 'B')}\n\nS a b c\n{_line('1 2', 'UNK', 'B')}\n"
+        first, second = parse_m2(text)
+        assert first == second and first.source is not second.source
 
 class TestEmit:
     def test_single_edit(self):
