@@ -223,24 +223,35 @@ def extract_edits(source: Sentence, hypothesis: Sentence) -> EditSet:
     reading one bit per step.
 
     A common suffix is stripped first: where the last tokens match,
-    ``D[n][m] == D[n-1][m-1]`` and the backtrace takes the match anyway.  A
-    common prefix is not, because there the backtrace may not take it
-    (``a`` -> ``a a`` inserts at 0).
+    ``D[n][m] == D[n-1][m-1]`` and the backtrace takes the match anyway.
+    Then the longest common prefix ``p`` is stripped too, and the bit-parallel
+    pass runs over ``src[p:n]`` x ``hyp[p:m]`` only.  The backtrace may not
+    match the prefix token for token (``a`` -> ``a a`` inserts at 0), but in
+    rows and columns up to ``p`` the table is ``D[i][j] == |i - j|``, so once
+    the path leaves the core it follows a closed-form walk to the cells the
+    full table would: above the diagonal it matches where the tokens agree
+    and inserts otherwise, below it matches or deletes, and on the diagonal
+    every remaining step is a match.  With ``p == 0`` this is the walk along
+    row 0 or down column 0.  The column vectors count rows and columns from
+    ``p``: bit ``i - p - 1`` of ``vps[j - p]`` stands for cell ``(i, j)``.
     """
     src, hyp = source.tokens, hypothesis.tokens
     n, m = len(src), len(hyp)
     while n and m and src[n - 1] == hyp[m - 1]:
         n -= 1
         m -= 1
+    p = 0
+    while p < n and p < m and src[p] == hyp[p]:
+        p += 1
     peq: dict[str, int] = {}
     bit = 1
-    for token in src[:n]:
+    for token in src[p:n]:
         peq[token] = peq.get(token, 0) | bit
         bit <<= 1
     mask = bit - 1
     vp, vn = mask, 0
     vps, d0s = [vp], [0]
-    for token in hyp[:m]:
+    for token in hyp[p:m]:
         x = peq.get(token, 0) | vn
         d0 = ((((x & vp) + vp) ^ vp) | x) & mask
         hp = vn | (mask ^ (d0 | vp))
@@ -255,10 +266,12 @@ def extract_edits(source: Sentence, hypothesis: Sentence) -> EditSet:
     edits: list[Edit] = []
     run_end: tuple[int, int] | None = None  # (i, j) where the open run began
     i, j = n, m
-    while i and j:
+    # Inside the core (i, j > p) the vectors decide each step; outside it the
+    # walk ends on the diagonal, where only matches are left.
+    while i != j or i > p:
         # Neighbouring cells differ by at most 1, so a match is always on an
         # optimal path; an insertion is what is left when no other step is.
-        if src[i - 1] == hyp[j - 1]:
+        if i and j and src[i - 1] == hyp[j - 1]:
             if run_end is not None:
                 edits.append(Edit(i, run_end[0], hyp[j : run_end[1]]))
                 run_end = None
@@ -267,19 +280,22 @@ def extract_edits(source: Sentence, hypothesis: Sentence) -> EditSet:
             continue
         if run_end is None:
             run_end = (i, j)
-        row = 1 << (i - 1)
-        if not d0s[j] & row:  # substitute
+        if i <= p or j <= p:  # D[i][j] == |i - j|: close in on the diagonal
+            if i < j:
+                j -= 1
+            else:
+                i -= 1
+            continue
+        row = 1 << (i - p - 1)
+        if not d0s[j - p] & row:  # substitute
             i -= 1
             j -= 1
-        elif vps[j] & row:  # delete
+        elif vps[j - p] & row:  # delete
             i -= 1
         else:  # insert
             j -= 1
-    # The rest of the path runs down column 0 (deletions) or along row 0
-    # (insertions), and joins the open run.
-    end_i, end_j = run_end or (i, j)
-    if end_i or end_j:
-        edits.append(Edit(0, end_i, hyp[:end_j]))
+    if run_end is not None:
+        edits.append(Edit(i, run_end[0], hyp[j : run_end[1]]))
     return EditSet(len(source), tuple(edits))
 
 

@@ -22,13 +22,20 @@ BOM reads like the same file without one.  They split lines on ``\n`` only,
 dropping one trailing ``\r``; other line breaks (U+2028, U+0085, ``\v``,
 ``\f``, a lone ``\r``, ...) are whitespace to ``str.split``, so inside a line
 they only separate tokens.
+
+Both readers split the text a block of lines at a time, never into a list
+of every line, and give equal tokens of one file (or of one ``parse_m2``
+call) one shared ``str`` object, so a corpus costs one object per distinct
+word, not one per token.  Every token is still checked by ``Sentence`` and
+``Edit``.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 from .edit_core import (
@@ -38,11 +45,11 @@ from .edit_core import (
     Sentence,
     ValidationError,
     extract_edits,
-    tokenize,
 )
 
 _NOOP_TYPE = "noop"
 _EMPTY_REPLACEMENT = "-NONE-"
+_BLOCK = 1 << 14  # characters ``_lines`` splits at once
 # Labels the combiner gives its own candidates; a system file may not take one.
 _COMBINER_LABEL = re.compile(r"greedy|vote-[0-9]+")
 
@@ -110,12 +117,26 @@ def primary_edit_set(entry: M2Entry) -> EditSet:
     return EditSet(len(entry.source))
 
 
-def _lines(text: str) -> list[str]:
-    """Split on ``\n`` only (a final ``\n`` ends the last line); drop one trailing ``\r``."""
-    lines = text.split("\n")
-    if "\r" in text:
-        lines = [line.removesuffix("\r") for line in lines]
-    return lines[:-1] if lines[-1] == "" else lines
+def _lines(text: str) -> Iterator[str]:
+    """Yield the lines of ``text``: split on ``\n`` only, drop one trailing
+    ``\r`` per line, and drop a final empty piece (a final ``\n`` ends the
+    last line; it does not start an empty one).
+
+    The text is split one block of about ``_BLOCK`` characters, cut after a
+    ``\n``, at a time: only that block's lines exist at once, never a list of
+    every line of the file, and each is split at the speed of ``str.split``.
+    """
+    cr = repeat("\r")
+    start = 0
+    end = text.find("\n", _BLOCK)
+    while end >= 0:
+        yield from map(str.removesuffix, text[start:end].split("\n"), cr)
+        start = end + 1
+        end = text.find("\n", start + _BLOCK)
+    tail = list(map(str.removesuffix, text[start:].split("\n"), cr))
+    if not tail[-1]:
+        tail.pop()
+    yield from tail
 
 
 def _annotator_id(field: str, line_no: int) -> int:
@@ -157,6 +178,10 @@ def parse_m2(
     line checked against one source is never taken on trust for another.
     Whether the sources match is the caller's check: the entries returned
     equal those of ``parse_m2(text)``.
+
+    The text is split a block of lines at a time (see ``_lines``).  Equal
+    tokens of the call's fresh ``S`` lines and replacements share one ``str``
+    object.
     """
     entries: list[M2Entry] = []
     source: Sentence | None = None
@@ -169,6 +194,9 @@ def parse_m2(
     parsed: dict[str, tuple[Edit, str]] = {}
     sources = sources or ()
     entry_line = 0
+    # One object per distinct token of this text (see ``load_sentences``).
+    words: dict[str, str] = {}
+    word = words.setdefault
 
     def close() -> None:
         nonlocal source, pending, parsed
@@ -226,11 +254,11 @@ def parse_m2(
                     f"source of {source_len} tokens"
                 )
             replacement_field = fields[2]
-            replacement = (
-                ()
-                if replacement_field in (_EMPTY_REPLACEMENT, "")
-                else tuple(replacement_field.split())
-            )
+            if replacement_field in (_EMPTY_REPLACEMENT, ""):
+                replacement = ()
+            else:
+                tokens = replacement_field.split()
+                replacement = tuple(map(word, tokens, tokens))
             try:
                 edit = Edit(start, end, replacement)
             except ValidationError as exc:
@@ -247,8 +275,9 @@ def parse_m2(
                 if memos is not None:
                     parsed = memos[index]
             else:
+                tokens = line[2:].split()
                 try:
-                    source = Sentence(tuple(line[2:].split()))
+                    source = Sentence(tuple(map(word, tokens, tokens)))
                 except ValidationError as exc:
                     raise M2ParseError(f"line {line_no}: {exc}") from exc
             source_len = len(source)
@@ -302,8 +331,19 @@ def _read_text(path) -> str:
 
 
 def load_sentences(path) -> list[Sentence]:
-    """Read a one-sentence-per-line UTF-8 corpus."""
-    return [tokenize(line) for line in _lines(_read_text(path))]
+    """Read a one-sentence-per-line UTF-8 corpus, a block of lines at a time.
+
+    Each line is split on whitespace as ``tokenize`` splits it, and the
+    sentences equal ``tokenize``'s.  Equal tokens of one file are one ``str``
+    object: a corpus repeats a few thousand distinct words tens of thousands
+    of times, and one object per occurrence would cost more than the text.
+    """
+    words: dict[str, str] = {}
+    word = words.setdefault
+    return [
+        Sentence(tuple(map(word, tokens, tokens)))
+        for tokens in map(str.split, _lines(_read_text(path)))
+    ]
 
 
 def load_matching_m2(

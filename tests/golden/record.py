@@ -77,6 +77,17 @@ def _cases() -> dict[str, tuple[int, tuple[str, ...]]]:
         "--reward-set", "base+votes", "--beta", "1", "--report", "-o", "out.m2",
         "--out-format", "m2")
     add("combine-mbr-text-stdout", 0, "combine", "src.txt", *TEXT_SYSTEMS)
+    # The reward sweep: every reward set x reward kind, each F kind at four betas.
+    for reward_set in ("base", "base+votes"):
+        for reward in ("recall", "precision", "f", "f-paper", "jaccard"):
+            for beta in ("0.3", "0.5", "1", "2") if reward.startswith("f") else ("0.5",):
+                for kind, systems in SYSTEMS.items():
+                    add(
+                        f"sweep-{reward_set}-{reward}-{beta}-{kind}", 0,
+                        "combine", "src.txt", *systems, "--method", "greedy",
+                        "--reward", reward, "--beta", beta, "--reward-set", reward_set,
+                        "--report", "-o", "out.txt",
+                    )
 
     add("score-text", 0, "score", "src.txt", "hyp0.txt", "ref.m2", "--per-sentence")
     add("score-m2", 0, "score", "src.txt", "sys0.m2", "ref.m2", "--per-sentence")

@@ -55,6 +55,17 @@ def repetitive_pairs(draw):
     return Sentence(tuple(draw(tokens))), Sentence(tuple(draw(tokens)))
 
 
+@st.composite
+def shared_prefix_pairs(draw):
+    """Two token lists over one 1-3 token vocabulary that share a drawn prefix
+    of up to 8 tokens, so the backtrace often leaves the core above or below
+    the diagonal."""
+    vocab = [f"t{i}" for i in range(draw(st.integers(1, 3)))]
+    tokens = st.lists(st.sampled_from(vocab), max_size=10)
+    prefix = tuple(draw(st.lists(st.sampled_from(vocab), max_size=8)))
+    return Sentence(prefix + tuple(draw(tokens))), Sentence(prefix + tuple(draw(tokens)))
+
+
 def random_pair(rng):
     """A random source and a hypothesis that is either unrelated or a few
     random edits away from it; every 50th pair is up to 130 tokens long."""
@@ -391,9 +402,32 @@ class TestAlignmentKernel:
     """The bit-parallel extraction against the full-table oracle, edit by edit."""
 
     def test_insertion_before_a_repeated_token_goes_first(self):
-        # a -> a a: the canonical alignment inserts at 0, which stripping the
-        # common prefix would get wrong (it would insert at 1).
+        # a -> a a: the canonical alignment inserts at 0, which cutting the
+        # common prefix off without the walk back to the diagonal would get
+        # wrong (it would insert at 1).
         assert extract_edits(tokenize("a"), tokenize("a a")).edits == (Edit(0, 0, ("a",)),)
+
+    @pytest.mark.parametrize(
+        "source, hypothesis, edits",
+        [
+            # above the diagonal, a token that differs is inserted where the
+            # path leaves the core
+            ("x a", "x a a", (Edit(1, 1, ("a",)),)),
+            # above the diagonal, matching tokens carry the insertion to 0
+            ("a a a", "a a a a", (Edit(0, 0, ("a",)),)),
+            # below the diagonal, a match and then a deletion at 0
+            ("a a b", "a b", (Edit(0, 1, ()),)),
+            # above the diagonal the walk inserts, matches, then inserts at 0
+            # (one edit at the prefix's end would insert "a b" at 1)
+            ("a", "a a b", (Edit(0, 0, ("a",)), Edit(1, 1, ("b",)))),
+            # the same below the diagonal, with deletions
+            ("a a b", "a", (Edit(0, 1, ()), Edit(2, 3, ()))),
+        ],
+    )
+    def test_walk_out_of_a_common_prefix(self, source, hypothesis, edits):
+        source, hypothesis = tokenize(source), tokenize(hypothesis)
+        assert extract_edits(source, hypothesis).edits == edits
+        assert bf_edits(source, hypothesis).edits == edits
 
     def test_identical_pair_is_all_matches(self):
         tokens = tuple(f"t{i % 3}" for i in range(100))
@@ -425,6 +459,12 @@ class TestAlignmentKernel:
     @given(repetitive_pairs())
     @settings(max_examples=300, deadline=None)
     def test_matches_oracle_on_repetitive_tokens(self, pair):
+        source, hypothesis = pair
+        assert extract_edits(source, hypothesis) == bf_edits(source, hypothesis)
+
+    @given(shared_prefix_pairs())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_oracle_on_pairs_with_a_common_prefix(self, pair):
         source, hypothesis = pair
         assert extract_edits(source, hypothesis) == bf_edits(source, hypothesis)
 

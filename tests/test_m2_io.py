@@ -2,10 +2,14 @@
 
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import bf_parse_m2, random_edit_set, random_sentence
+from conftest import bf_lines, bf_parse_m2, random_edit_set, random_sentence
+from edit_mbr import m2_io
 from edit_mbr.edit_core import Edit, EditSet, Sentence, ValidationError, tokenize
 from edit_mbr.m2_io import (
     Annotation,
@@ -596,3 +600,58 @@ class TestLoadParallel:
         path = tmp_path / "separators.txt"
         path.write_text("a\u2028b\x85c\rd\r\ne\x0cf\n\n", encoding="utf-8")
         assert load_sentences(path) == [tokenize("a b c d"), tokenize("e f"), tokenize("")]
+
+
+# Line ends, other Unicode line breaks and a byte-order mark, between tokens.
+LINE_CHARS = ["a", "b", " ", "\n", "\r", "\u2028", "\x85", "\ufeff"]
+
+
+def _shared_tokens(sentences) -> bool:
+    """Whether every token of ``sentences`` is the first object seen with its value."""
+    first: dict[str, str] = {}
+    return all(first.setdefault(token, token) is token for tokens in sentences for token in tokens)
+
+
+class TestLineReaders:
+    """The lazy splitter and the token-sharing readers against the list-based oracles."""
+
+    @given(st.text(alphabet=LINE_CHARS, max_size=40), st.sampled_from([0, 1, 2, 5, 1 << 14]))
+    @settings(max_examples=400, deadline=None)
+    def test_splitter_matches_oracle_at_any_block_size(self, text, block):
+        with mock.patch.object(m2_io, "_BLOCK", block):
+            assert list(m2_io._lines(text)) == bf_lines(text)
+
+    def test_splitter_matches_oracle_across_many_blocks(self):
+        rng = random.Random(11)
+        text = "".join(rng.choice(LINE_CHARS + ["a b c"] * 4) for _ in range(200_000))
+        assert list(m2_io._lines(text)) == bf_lines(text)
+
+    def test_load_sentences_matches_tokenize_and_shares_tokens(self, tmp_path):
+        rng = random.Random(12)
+        path = tmp_path / "corpus.txt"
+        for _ in range(300):
+            text = "".join(rng.choice(LINE_CHARS + ["aa", "ab "]) for _ in range(rng.randint(0, 60)))
+            path.write_bytes(text.encode("utf-8"))
+            sentences = load_sentences(path)
+            assert sentences == [tokenize(line) for line in bf_lines(text.removeprefix("\ufeff"))]
+            assert _shared_tokens(sentences)
+
+    def test_parse_m2_matches_oracle_and_shares_tokens(self):
+        rng = random.Random(13)
+        parsed = 0
+        for _ in range(2000):
+            # Two-letter replacements: one-letter strings are shared anyway.
+            text = _random_m2(rng).replace("|||x", "|||xx")
+            want = _outcome(bf_parse_m2, text)
+            assert _outcome(parse_m2, text) == want, text
+            if isinstance(want, list):
+                entries = parse_m2(text)
+                tokens = [entry.source.tokens for entry in entries] + [
+                    edit.replacement
+                    for entry in entries
+                    for annotation in entry.annotations
+                    for edit in annotation.edits
+                ]
+                assert _shared_tokens(tokens)
+                parsed += 1
+        assert parsed > 500
