@@ -43,6 +43,9 @@ TEXT_SYSTEMS = tuple(f"hyp{i}.txt" for i in range(5))
 M2_SYSTEMS = tuple(f"sys{i}.m2" for i in range(8))
 SYSTEMS = {"text": TEXT_SYSTEMS, "m2": M2_SYSTEMS}
 
+# The core count of the host the digests were recorded on.
+RECORDED_THREADS = "2"
+
 
 def _cases() -> dict[str, tuple[int, tuple[str, ...]]]:
     """Case name -> (expected exit code, argv)."""
@@ -116,6 +119,32 @@ def _cases() -> dict[str, tuple[int, tuple[str, ...]]]:
     add("fail-extract-short", 2, "extract", "src.txt", "short.txt", "out.m2")
     add("fail-report-without-out", 1, "combine", "src.txt", *TEXT_SYSTEMS, "--report")
     add("fail-bad-beta", 1, "combine", "src.txt", *M2_SYSTEMS, "--beta", "0", "-o", "out.txt")
+
+    # File-argument plumbing: manifests beside every kind of output, the
+    # recorded thread count, and each argument's name in a collision message.
+    add("combine-greedy-stdout-manifest-trace", 0, "combine", "src.txt", *TEXT_SYSTEMS,
+        "--method", "greedy", "--manifest", "m.json", "--trace", "t.jsonl")
+    add("extract-manifest", 0, "extract", "src.txt", "hyp0.txt", "out.m2", "--manifest", "x.json")
+    add("apply-manifest", 0, "apply", "src.txt", "sys0.m2", "out.txt", "--manifest", "x.json")
+    add("combine-threads-3", 0, "combine", "src.txt", *M2_SYSTEMS, "--threads", "3",
+        "-o", "out.txt")
+    # EDIT_MBR_THREADS, set for every case, overrides even a negative flag.
+    add("combine-threads-negative-env-overrides", 0, "combine", "src.txt", *M2_SYSTEMS,
+        "--threads", "-1", "-o", "out.txt")
+    add("fail-extract-out-is-manifest", 1, "extract", "src.txt", "hyp0.txt", "out.m2",
+        "--manifest", "out.m2")
+    add("fail-combine-out-is-trace", 1, "combine", "src.txt", *TEXT_SYSTEMS, "-o", "o.txt",
+        "--trace", "o.txt")
+    add("fail-combine-manifest-is-hypothesis", 1, "combine", "src.txt", *TEXT_SYSTEMS,
+        "-o", "out.txt", "--manifest", "hyp1.txt")
+    add("fail-score-manifest-is-reference", 1, "score", "src.txt", "sys0.m2", "ref.m2",
+        "--manifest", "ref.m2")
+    add("fail-apply-manifest-is-m2", 1, "apply", "src.txt", "sys0.m2", "out.txt",
+        "--manifest", "sys0.m2")
+    add("fail-apply-manifest-is-source", 1, "apply", "src.txt", "sys0.m2", "out.txt",
+        "--manifest", "src.txt")
+    add("fail-report-without-out-before-collision", 1, "combine", "src.txt", *TEXT_SYSTEMS,
+        "--report", "--trace", "x", "--manifest", "x")
     return cases
 
 
@@ -125,14 +154,18 @@ CASES = _cases()
 def run_case(argv, workdir: Path) -> dict:
     """Run one CLI call in ``workdir``, with the corpus files ``argv`` names
     copied in; return its exit code, output streams and written files."""
-    from edit_mbr.cli import main
+    from edit_mbr.cli import THREADS_ENV_VAR, main
 
     inputs = {arg for arg in argv if (CORPUS / arg).is_file()}
     for name in inputs:
         shutil.copyfile(CORPUS / name, workdir / name)
     stdout, stderr = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
+    threads = os.environ.get(THREADS_ENV_VAR)
     os.chdir(workdir)
+    # A manifest records the resolved thread count, which defaults to the
+    # host's cores; the count the digests were recorded with is pinned.
+    os.environ[THREADS_ENV_VAR] = RECORDED_THREADS
     try:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             try:
@@ -141,6 +174,10 @@ def run_case(argv, workdir: Path) -> dict:
                 rc = exc.code
     finally:
         os.chdir(cwd)
+        if threads is None:
+            del os.environ[THREADS_ENV_VAR]
+        else:
+            os.environ[THREADS_ENV_VAR] = threads
     files = {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(workdir.iterdir())

@@ -287,6 +287,14 @@ class TestCombine:
         manifest = json.loads((tmp_path / "out.txt.manifest.json").read_text())
         assert manifest["config"]["threads"] == 3
 
+    def test_default_threads_records_all_cores(self, corpus, tmp_path, monkeypatch):
+        monkeypatch.delenv("EDIT_MBR_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        out = tmp_path / "out.txt"
+        assert self.run_combine(corpus, out, "--threads", "0") == 0
+        manifest = json.loads((tmp_path / "out.txt.manifest.json").read_text())
+        assert manifest["config"]["threads"] == 5
+
     def test_invalid_threads_env_is_usage_error(self, corpus, tmp_path, monkeypatch):
         monkeypatch.setenv("EDIT_MBR_THREADS", "many")
         assert self.run_combine(corpus, tmp_path / "o.txt") == 1

@@ -7,6 +7,7 @@ every file it wrote.
 """
 
 import json
+import os
 
 import pytest
 
@@ -24,3 +25,16 @@ def test_case_output_matches_its_digest(name, tmp_path):
     rc, argv = record.CASES[name]
     outcome = record.run_case(argv, tmp_path)
     assert (outcome["rc"], record.digest(outcome)) == (rc, EXPECTED[name]["sha256"]), outcome
+
+
+def test_digests_do_not_depend_on_the_host_thread_count(tmp_path, monkeypatch):
+    # Manifests record the resolved thread count; neither the host's cores
+    # nor an EDIT_MBR_THREADS set around the replay may reach them.
+    monkeypatch.setattr("os.cpu_count", lambda: 64)
+    monkeypatch.setenv("EDIT_MBR_THREADS", "4")
+    name = "combine-mbr-text-to-text"
+    rc, argv = record.CASES[name]
+    outcome = record.run_case(argv, tmp_path)
+    assert "out.txt.manifest.json" in outcome["files"]
+    assert (outcome["rc"], record.digest(outcome)) == (rc, EXPECTED[name]["sha256"]), outcome
+    assert os.environ["EDIT_MBR_THREADS"] == "4"
