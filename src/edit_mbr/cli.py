@@ -2,15 +2,21 @@
 
 Exit codes: 0 success, 1 usage error, 2 data/validation error (bad corpora,
 malformed M2, missing files), so scripts can tell operator mistakes from
-corpus problems.  Commands that write an output file also write a JSON run
-manifest beside it (resolved configuration plus input/output SHA-256
-digests); re-running with the same inputs and configuration reproduces the
-outputs byte for byte.  Every file is written through ``_publish``: outputs
-replace their targets atomically and the manifest is written last.  Two
-outputs (output, trace, manifest) that name one file, or a manifest that names
-an input, are a usage error, found before any input is read; so is
-``combine --report`` without ``-o``, which would mix the report into the
-output on standard output.
+corpus problems.
+
+``main`` is the one driver of every command.  It refuses ``combine
+--report`` without ``-o`` (the report would mix into the output on standard
+output), names the default manifest ``OUT.manifest.json``, checks the file
+arguments (``_check_paths``), runs the command, and writes what the command
+returns through ``_publish``.  A command only reads, computes, prints and
+returns its outputs as ``{path: text}``.
+
+Two outputs (output, trace, manifest) that name one file, or a manifest that
+names an input, are a usage error, found before any input is read.  Outputs
+replace their targets atomically and the manifest is written last: the
+parsed arguments (with ``combine``'s resolved thread count) plus
+input/output SHA-256 digests, so re-running with the same inputs and
+configuration reproduces the outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -52,6 +58,13 @@ DATA_ERROR = 2
 
 THREADS_ENV_VAR = "EDIT_MBR_THREADS"
 
+# Every command's file arguments by ``dest``, in the order they are compared.
+INPUTS = ("source", "hypothesis", "hypotheses", "reference", "m2")
+OUTPUTS = ("out", "trace", "manifest")
+# Parsed arguments the manifest's config leaves out: parser and driver
+# bookkeeping, the manifest itself, and what only changes standard output.
+NOT_CONFIG = frozenset({"command", "func", "labels", "manifest", "report"})
+
 
 class UsageError(Exception):
     """Operator error detected after argument parsing (exit status 1)."""
@@ -88,22 +101,39 @@ def _replace(path, data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _publish(command: str, config: dict, inputs, outputs: dict, manifest_path) -> None:
-    """Write ``outputs`` (path -> text) and then, if ``manifest_path`` is set, the run manifest.
+def _paths(args, dests) -> list[tuple[str, str]]:
+    """(name, path) for each set file argument among ``dests``, in that order.
+
+    The name is the one the parser shows: the long option, else the metavar
+    in capitals (``--trace``, ``SOURCE``)."""
+    named = []
+    for dest in dests:
+        value = getattr(args, dest, None)
+        for path in value if isinstance(value, list) else [value]:
+            if path:
+                named.append((args.labels[dest], path))
+    return named
+
+
+def _publish(args, outputs: dict) -> None:
+    """Write ``outputs`` (path -> text) and then, if ``args.manifest`` is set, the run manifest.
 
     Input digests are taken before any output is written, so an output that
     overwrites an input leaves the input's recorded digest as it was read.
     """
-    manifest = manifest_path and {
+    manifest = args.manifest and {
         "version": __version__,
-        "command": command,
-        "config": config,
-        "inputs": {str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in inputs},
+        "command": args.command,
+        "config": {key: value for key, value in vars(args).items() if key not in NOT_CONFIG},
+        "inputs": {
+            path: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            for _, path in _paths(args, INPUTS)
+        },
     }
     digests = {str(path): _replace(path, text.encode("utf-8")) for path, text in outputs.items()}
     if manifest:
         manifest["outputs"] = digests
-        _replace(manifest_path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
+        _replace(args.manifest, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
 
 
 def _same_file(first: str, second: str) -> bool:
@@ -118,18 +148,15 @@ def _same_file(first: str, second: str) -> bool:
         return False
 
 
-def _check_paths(
-    inputs: Sequence[tuple[str, str]], outputs: Sequence[tuple[str, str | None]]
-) -> None:
+def _check_paths(args) -> None:
     """Raise ``UsageError`` when two outputs name one file, or the manifest names an input.
 
-    Both arguments pair an argument name (``"--trace"``, ``"OUT"``) with its
-    path; an unset output is ``None``.  An output that overwrites an input is
-    allowed: input digests are taken before anything is written.
+    An output that overwrites an input is allowed: input digests are taken
+    before anything is written.
     """
-    named = [(flag, path) for flag, path in outputs if path]
+    named = _paths(args, OUTPUTS)
     pairs = [(a, b) for i, a in enumerate(named) for b in named[i + 1 :]]
-    pairs += [(a, b) for a in named if a[0] == "--manifest" for b in inputs]
+    pairs += [(a, b) for a in named if a[0] == "--manifest" for b in _paths(args, INPUTS)]
     for (first_flag, first), (second_flag, second) in pairs:
         if _same_file(first, second):
             raise UsageError(f"{first_flag} and {second_flag} name the same file: {first}")
@@ -150,43 +177,29 @@ def _resolve_threads(flag: int) -> int:
     return flag or os.cpu_count() or 1
 
 
-def cmd_extract(args) -> int:
-    manifest = args.manifest or f"{args.out}.manifest.json"
-    _check_paths(
-        [("SOURCE", args.source), ("HYPOTHESIS", args.hypothesis)],
-        [("OUT", args.out), ("--manifest", manifest)],
+def _as_m2(sources, edit_sets) -> str:
+    """M2 text with each edit set as annotator 0 of its source."""
+    return emit_m2(
+        [M2Entry(src, (Annotation(0, edits),)) for src, edits in zip(sources, edit_sets)]
     )
+
+
+def _as_text(sources, edit_sets) -> str:
+    """One corrected line per source."""
+    return "".join(apply_edits(src, edits).text() + "\n" for src, edits in zip(sources, edit_sets))
+
+
+def cmd_extract(args) -> dict:
     sources = load_sentences(args.source)
     hyps = load_sentences(args.hypothesis)
     if len(sources) != len(hyps):
         raise ValidationError(
             f"{args.source} has {len(sources)} lines but {args.hypothesis} has {len(hyps)}"
         )
-    entries = [
-        M2Entry(src, (Annotation(0, extract_edits(src, hyp)),))
-        for src, hyp in zip(sources, hyps)
-    ]
-    config = {"source": args.source, "hypothesis": args.hypothesis, "out": args.out}
-    _publish(
-        "extract",
-        config,
-        [args.source, args.hypothesis],
-        {args.out: emit_m2(entries)},
-        manifest,
-    )
-    return OK
+    return {args.out: _as_m2(sources, [extract_edits(s, h) for s, h in zip(sources, hyps)])}
 
 
-def cmd_combine(args) -> int:
-    if args.report and not args.out:
-        raise UsageError(
-            "--report needs -o/--out: without it the report and the output share stdout"
-        )
-    manifest = args.manifest or (f"{args.out}.manifest.json" if args.out else None)
-    _check_paths(
-        [("SOURCE", args.source), *(("HYPOTHESIS", path) for path in args.hypotheses)],
-        [("--out", args.out), ("--trace", args.trace), ("--manifest", manifest)],
-    )
+def cmd_combine(args) -> dict:
     try:
         config = CombineConfig(
             strategy=args.method,
@@ -196,22 +209,12 @@ def cmd_combine(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    threads = _resolve_threads(args.threads)
+    args.threads = _resolve_threads(args.threads)
     corpus = load_parallel(args.source, args.hypotheses)
-    results = combine_corpus(corpus, config, threads=threads)
+    results = combine_corpus(corpus, config, threads=args.threads)
 
-    if args.out_format == "m2":
-        entries = [
-            M2Entry(entry.source, (Annotation(0, result.chosen.edit_set),))
-            for entry, result in zip(corpus, results)
-        ]
-        payload = emit_m2(entries)
-    else:
-        lines = [
-            apply_edits(entry.source, result.chosen.edit_set).text()
-            for entry, result in zip(corpus, results)
-        ]
-        payload = "".join(line + "\n" for line in lines)
+    encode = _as_m2 if args.out_format == "m2" else _as_text
+    payload = encode([entry.source for entry in corpus], [r.chosen.edit_set for r in results])
     outputs = {}
     if args.out:
         outputs[args.out] = payload
@@ -243,28 +246,7 @@ def cmd_combine(args) -> int:
                 for candidate, score in zip(result.selection, result.expected_rewards)
             )
             print(f"sent {index} chosen={result.chosen.label} {cells}")
-
-    resolved = {
-        "source": args.source,
-        "hypotheses": list(args.hypotheses),
-        "out": args.out,
-        "out_format": args.out_format,
-        "method": args.method,
-        "reward": args.reward,
-        "beta": args.beta,
-        "pool_votes": args.pool_votes,
-        "reward_set": args.reward_set,
-        "threads": threads,
-        "trace": args.trace,
-    }
-    _publish(
-        "combine",
-        resolved,
-        [args.source, *args.hypotheses],
-        outputs,
-        manifest,
-    )
-    return OK
+    return outputs
 
 
 def _format_prf(report: ScoreReport) -> str:
@@ -274,11 +256,7 @@ def _format_prf(report: ScoreReport) -> str:
     )
 
 
-def cmd_score(args) -> int:
-    _check_paths(
-        [("SOURCE", args.source), ("HYPOTHESIS", args.hypothesis), ("REFERENCE", args.reference)],
-        [("--manifest", args.manifest)],
-    )
+def cmd_score(args) -> dict:
     try:
         RewardConfig(beta=args.beta)  # the same beta check as combine
     except ValueError as exc:
@@ -297,35 +275,19 @@ def cmd_score(args) -> int:
         for index, sentence in enumerate(report.per_sentence):
             print(f"{index} {_format_prf(sentence)}")
     print(_format_prf(report))
-    config = {
-        "source": args.source,
-        "hypothesis": args.hypothesis,
-        "reference": args.reference,
-        "beta": args.beta,
-        "per_sentence": args.per_sentence,
-    }
-    _publish("score", config, [args.source, args.hypothesis, args.reference], {}, args.manifest)
-    return OK
+    return {}
 
 
-def cmd_apply(args) -> int:
-    manifest = args.manifest or f"{args.out}.manifest.json"
-    _check_paths(
-        [("SOURCE", args.source), ("M2", args.m2)],
-        [("OUT", args.out), ("--manifest", manifest)],
-    )
+def cmd_apply(args) -> dict:
     sources = load_sentences(args.source)
     entries = load_matching_m2(args.m2, sources, args.source)
-    lines = [apply_edits(src, primary_edit_set(entry)).text() for src, entry in zip(sources, entries)]
-    config = {"source": args.source, "m2": args.m2, "out": args.out}
-    _publish(
-        "apply",
-        config,
-        [args.source, args.m2],
-        {args.out: "".join(line + "\n" for line in lines)},
-        manifest,
-    )
-    return OK
+    return {args.out: _as_text(sources, [primary_edit_set(entry) for entry in entries])}
+
+
+def _label(action: argparse.Action) -> str:
+    """How messages name an argument: its long option, else its metavar in capitals."""
+    longs = [option for option in action.option_strings if option.startswith("--")]
+    return longs[0] if longs else (action.metavar or action.dest).upper()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -394,14 +356,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out", help="output text path")
     p.add_argument("--manifest", help="manifest path (default: OUT.manifest.json)")
     p.set_defaults(func=cmd_apply)
+    for p in sub.choices.values():
+        p.set_defaults(labels={action.dest: _label(action) for action in p._actions})
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if getattr(args, "report", False) and not args.out:
+            raise UsageError(
+                "--report needs -o/--out: without it the report and the output share stdout"
+            )
+        if not args.manifest and getattr(args, "out", None):
+            args.manifest = f"{args.out}.manifest.json"
+        _check_paths(args)
+        _publish(args, args.func(args))
+        return OK
     except UsageError as exc:
         print(f"edit-mbr: error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -13,6 +13,12 @@ from .edit_core import Edit, EditSet, check_source_len
 
 REWARD_KINDS = ("recall", "precision", "f", "f-paper", "jaccard")
 
+# The betas the F rewards accept.  Beta squared stays a normal double, and
+# every F numerator and denominator stays finite and non-zero for any edit
+# count below 1e100; outside it, (1 + beta^2) * overlap overflows to nan or
+# beta^2 underflows to 0.
+BETA_MIN, BETA_MAX = 1e-100, 1e100
+
 
 @dataclass(frozen=True, slots=True)
 class RewardConfig:
@@ -25,7 +31,8 @@ class RewardConfig:
     scores (1 + beta^2) / (1 + beta) rather than 1.  Empty sets follow the
     scorer's convention: when both edit sets are empty every reward is 1.0,
     and so is recall against an empty reference or precision of an empty
-    hypothesis (nothing to get wrong).
+    hypothesis (nothing to get wrong).  ``beta`` must lie in
+    [``BETA_MIN``, ``BETA_MAX``], where every F reward is finite.
     """
 
     kind: str = "f"
@@ -36,6 +43,8 @@ class RewardConfig:
             raise ValueError(f"unknown reward kind {self.kind!r}; expected one of {REWARD_KINDS}")
         if not 0 < self.beta < math.inf:
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        if not BETA_MIN <= self.beta <= BETA_MAX:
+            raise ValueError(f"beta must be between {BETA_MIN:g} and {BETA_MAX:g}, got {self.beta}")
 
 
 def _score(overlap: int, n_ref: int, n_hyp: int, config: RewardConfig) -> float:

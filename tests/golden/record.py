@@ -33,6 +33,7 @@ import shutil
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent.parent
@@ -161,23 +162,18 @@ def run_case(argv, workdir: Path) -> dict:
         shutil.copyfile(CORPUS / name, workdir / name)
     stdout, stderr = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
-    threads = os.environ.get(THREADS_ENV_VAR)
     os.chdir(workdir)
-    # A manifest records the resolved thread count, which defaults to the
-    # host's cores; the count the digests were recorded with is pinned.
-    os.environ[THREADS_ENV_VAR] = RECORDED_THREADS
     try:
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        # A manifest records the resolved thread count, which defaults to the
+        # host's cores; the count the digests were recorded with is pinned.
+        with mock.patch.dict(os.environ, {THREADS_ENV_VAR: RECORDED_THREADS}), \
+                contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             try:
                 rc = main(list(argv))
             except SystemExit as exc:  # argparse's own usage errors
                 rc = exc.code
     finally:
         os.chdir(cwd)
-        if threads is None:
-            del os.environ[THREADS_ENV_VAR]
-        else:
-            os.environ[THREADS_ENV_VAR] = threads
     files = {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(workdir.iterdir())

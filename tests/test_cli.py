@@ -245,6 +245,15 @@ class TestCombine:
         assert "beta" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("beta", ["1e200", "1e-200"])
+    def test_beta_whose_square_leaves_floats_is_usage_error(self, corpus, tmp_path, capsys, beta):
+        out = tmp_path / "o.txt"
+        code = self.run_combine(corpus, out, "--beta", beta, "--method", "greedy", "--report")
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "beta" in captured.err and captured.out == ""
+        assert sorted(tmp_path.iterdir()) == sorted([corpus["src"], *corpus["hyps"]])
+
     def test_unicode_line_separator_stays_inside_its_line(self, tmp_path):
         src = write(tmp_path / "src.txt", ["a b", "c\u2028d"])
         hyp = write(tmp_path / "hyp.txt", ["a B", "c\u2028d e"])
@@ -378,13 +387,17 @@ class TestScoreCommand:
         out = capsys.readouterr().out
         assert "F1 " in out and "F0.5" not in out
 
-    @pytest.mark.parametrize("beta", ["nan", "inf", "0", "-1"])
+    # 1e200 squared overflows and 1e-200 squared underflows to 0.
+    @pytest.mark.parametrize("beta", ["nan", "inf", "0", "-1", "1e200", "1e-200"])
     def test_bad_beta_is_usage_error(self, tmp_path, capsys, beta):
         src, hyp, ref = self.setup_scoring(tmp_path)
-        assert main(["score", str(src), str(hyp), str(ref), "--beta", beta]) == 1
+        manifest = tmp_path / "score.json"
+        argv = ["score", str(src), str(hyp), str(ref), "--beta", beta, "--manifest", str(manifest)]
+        assert main(argv) == 1
         captured = capsys.readouterr()
         assert "beta" in captured.err
         assert captured.out == ""
+        assert not manifest.exists()
 
     def test_per_sentence_lines(self, tmp_path, capsys):
         src, hyp, ref = self.setup_scoring(tmp_path)

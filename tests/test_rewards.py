@@ -1,12 +1,25 @@
 """Reward functions: formula values, conventions, and algebraic properties."""
 
+import math
 import random
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from conftest import bf_conflicts, bf_expected, bf_reward, random_edit_set
 from edit_mbr.edit_core import Edit, EditSet, ValidationError
-from edit_mbr.rewards import REWARD_KINDS, RewardConfig, RewardSet, expected_reward, reward
+from edit_mbr.rewards import (
+    BETA_MAX,
+    BETA_MIN,
+    REWARD_KINDS,
+    RewardConfig,
+    RewardSet,
+    _score,
+    expected_reward,
+    reward,
+)
+from edit_mbr.scorer import _from_counts
 
 B = Edit(1, 2, ("B",))
 D = Edit(3, 3, ("d",))
@@ -70,6 +83,32 @@ class TestRewardConfig:
     def test_rejects_nonpositive_beta(self):
         with pytest.raises(ValueError):
             RewardConfig(beta=0.0)
+
+    @pytest.mark.parametrize("beta", [1e154, 1e200, 1e-200, 5e-324])
+    def test_rejects_beta_whose_square_overflows_or_underflows(self, beta):
+        with pytest.raises(ValueError, match="beta"):
+            RewardConfig(beta=beta)
+
+    @pytest.mark.parametrize("beta", [BETA_MIN, BETA_MAX])
+    def test_accepts_the_range_ends(self, beta):
+        assert RewardConfig(beta=beta).beta == beta
+
+    @given(
+        beta=st.floats(min_value=0, exclude_min=True, allow_infinity=False),
+        kind=st.sampled_from(REWARD_KINDS),
+        n_ref=st.integers(0, 10**6),
+        n_hyp=st.integers(0, 10**6),
+        data=st.data(),
+    )
+    def test_every_accepted_beta_scores_finite(self, beta, kind, n_ref, n_hyp, data):
+        try:
+            config = RewardConfig(kind=kind, beta=beta)
+        except ValueError:
+            assume(False)
+        overlap = data.draw(st.integers(0, min(n_ref, n_hyp)))
+        assert math.isfinite(_score(overlap, n_ref, n_hyp, config))
+        report = _from_counts(overlap, n_hyp - overlap, n_ref - overlap, beta)
+        assert all(map(math.isfinite, (report.precision, report.recall, report.f)))
 
 
 class TestExpectedReward:
