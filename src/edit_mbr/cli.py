@@ -11,19 +11,21 @@ arguments (``_check_paths``), runs the command, and writes what the command
 returns through ``_publish``.  A command only reads, computes, prints and
 returns its outputs as ``{path: text}``.
 
-Two outputs (output, trace, manifest) that name one file, or a manifest that
-names an input, are a usage error, found before any input is read.  Outputs
-replace their targets atomically and the manifest is written last: the
-parsed arguments (with ``combine``'s resolved thread count) plus
-input/output SHA-256 digests, so re-running with the same inputs and
-configuration reproduces the outputs byte for byte.
+Two outputs (output, trace, manifest) that name one file, a manifest that
+names an input, or a manifest beside an input that is not a regular file (a
+pipe can be read only once, so its digest cannot be taken) are usage
+errors, found before any input is read.  Outputs replace their targets
+atomically and the manifest is written last: the parsed arguments (with
+``combine``'s resolved thread count) plus input/output SHA-256 digests, so
+re-running with the same inputs and configuration reproduces the outputs
+byte for byte.  Digests are taken only for a manifest, and ``hashlib``,
+which loads OpenSSL, is imported only then.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import json
 import os
 import sys
@@ -42,14 +44,16 @@ from .m2_io import (
     Annotation,
     M2Entry,
     emit_m2,
+    is_m2,
     load_hypothesis_sets,
     load_matching_m2,
     load_parallel,
     load_sentences,
     parse_m2,  # traced by perfbench/child.py
     primary_edit_set,
+    shared_memos,
 )
-from .rewards import REWARD_KINDS, RewardConfig
+from .rewards import REWARD_KINDS, RewardConfig, check_beta
 from .scorer import ScoreReport, score_corpus
 
 OK = 0
@@ -78,16 +82,32 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _replace(path, data: bytes) -> str:
-    """Write ``data`` onto ``path`` through a temporary file beside it; return its SHA-256.
+def _sha256(data: bytes) -> str:
+    """The SHA-256 hex digest of ``data``.
+
+    ``hashlib`` is imported here, on the first digest, because it loads
+    OpenSSL (about 3.6 MiB) and only a manifest needs a digest.
+    """
+    import hashlib
+
+    return hashlib.sha256(data).hexdigest()
+
+
+def _special(path) -> bool:
+    """Whether ``path`` exists and is not a regular file (a device, FIFO or directory)."""
+    return os.path.exists(path) and not os.path.isfile(path)
+
+
+def _replace(path, data: bytes) -> None:
+    """Write ``data`` onto ``path`` through a temporary file beside it.
 
     A failed write leaves ``path`` as it was.  A symlink's target is replaced,
     not the link; a device or FIFO (say ``/dev/stderr``) is written in place.
     """
-    if os.path.exists(path) and not os.path.isfile(path):
+    if _special(path):
         with open(path, "wb") as handle:
             handle.write(data)
-        return hashlib.sha256(data).hexdigest()
+        return
     path = os.path.realpath(path)
     temp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -98,7 +118,6 @@ def _replace(path, data: bytes) -> str:
         with contextlib.suppress(OSError):
             os.unlink(temp)
         raise
-    return hashlib.sha256(data).hexdigest()
 
 
 def _paths(args, dests) -> list[tuple[str, str]]:
@@ -120,25 +139,27 @@ def _publish(args, outputs: dict) -> None:
 
     Input digests are taken before any output is written, so an output that
     overwrites an input leaves the input's recorded digest as it was read.
+    Without a manifest no digest is taken.
     """
     manifest = args.manifest and {
         "version": __version__,
         "command": args.command,
         "config": {key: value for key, value in vars(args).items() if key not in NOT_CONFIG},
-        "inputs": {
-            path: hashlib.sha256(Path(path).read_bytes()).hexdigest()
-            for _, path in _paths(args, INPUTS)
-        },
+        "inputs": {path: _sha256(Path(path).read_bytes()) for _, path in _paths(args, INPUTS)},
+        "outputs": {},
     }
-    digests = {str(path): _replace(path, text.encode("utf-8")) for path, text in outputs.items()}
+    for path, text in outputs.items():
+        data = text.encode("utf-8")
+        _replace(path, data)
+        if manifest:
+            manifest["outputs"][str(path)] = _sha256(data)
     if manifest:
-        manifest["outputs"] = digests
         _replace(args.manifest, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
 
 
 def _same_file(first: str, second: str) -> bool:
     """Whether two paths name one regular file (after symlinks; hard links by inode)."""
-    if any(os.path.exists(p) and not os.path.isfile(p) for p in (first, second)):
+    if _special(first) or _special(second):
         return False  # a device or FIFO is written in place, not replaced
     if os.path.realpath(first) == os.path.realpath(second):
         return True
@@ -149,10 +170,13 @@ def _same_file(first: str, second: str) -> bool:
 
 
 def _check_paths(args) -> None:
-    """Raise ``UsageError`` when two outputs name one file, or the manifest names an input.
+    """Raise ``UsageError`` when two outputs name one file, the manifest names
+    an input, or a manifest is due and an input is not a regular file.
 
     An output that overwrites an input is allowed: input digests are taken
-    before anything is written.
+    before anything is written.  A pipe input would be read twice, once by
+    the command and once for its digest, and the second read sees nothing,
+    so a manifest could only record the digest of empty input.
     """
     named = _paths(args, OUTPUTS)
     pairs = [(a, b) for i, a in enumerate(named) for b in named[i + 1 :]]
@@ -160,6 +184,13 @@ def _check_paths(args) -> None:
     for (first_flag, first), (second_flag, second) in pairs:
         if _same_file(first, second):
             raise UsageError(f"{first_flag} and {second_flag} name the same file: {first}")
+    if args.manifest:
+        for flag, path in _paths(args, INPUTS):
+            if _special(path):
+                raise UsageError(
+                    f"{flag} is not a regular file, so the manifest cannot record its "
+                    f"digest: {path}"
+                )
 
 
 def _resolve_threads(flag: int) -> int:
@@ -258,13 +289,15 @@ def _format_prf(report: ScoreReport) -> str:
 
 def cmd_score(args) -> dict:
     try:
-        RewardConfig(beta=args.beta)  # the same beta check as combine
+        check_beta(args.beta)  # the same beta check as combine
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     sources = load_sentences(args.source)
-    memos = [{} for _ in sources]
+    # The reference is parsed as M2 whatever its name, and parsed last.
+    memos = shared_memos(sources, 1 + is_m2(args.hypothesis))
     hyp_sets = load_hypothesis_sets(args.hypothesis, sources, args.source, memos)
     ref_entries = load_matching_m2(args.reference, sources, args.source, memos)
+    del memos
     ref_sets = []
     for index, entry in enumerate(ref_entries):
         if not entry.annotations:

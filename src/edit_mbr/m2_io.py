@@ -180,8 +180,8 @@ def parse_m2(
     equal those of ``parse_m2(text)``.
 
     The text is split a block of lines at a time (see ``_lines``).  Equal
-    tokens of the call's fresh ``S`` lines and replacements share one ``str``
-    object.
+    tokens of the call's fresh ``S`` lines and replacements, and equal type
+    fields, share one ``str`` object.
     """
     entries: list[M2Entry] = []
     source: Sentence | None = None
@@ -263,8 +263,9 @@ def parse_m2(
                 edit = Edit(start, end, replacement)
             except ValidationError as exc:
                 raise M2ParseError(f"line {line_no}: {exc}") from exc
-            parsed[key] = edit, fields[1]
-            pending.setdefault(annotator, {}).setdefault(edit, fields[1])
+            type_str = word(fields[1], fields[1])
+            parsed[key] = edit, type_str
+            pending.setdefault(annotator, {}).setdefault(edit, type_str)
         elif not line.strip():
             close()
         elif line == "S" or line.startswith("S "):
@@ -346,6 +347,25 @@ def load_sentences(path) -> list[Sentence]:
     ]
 
 
+def is_m2(path) -> bool:
+    """Whether a hypothesis file is parsed as M2 (its name ends in ``.m2``)
+    rather than read as text and aligned."""
+    return str(path).lower().endswith(".m2")
+
+
+def shared_memos(sources: Sequence[Sentence], m2_files: int) -> list[dict] | None:
+    """The per-entry memos a call hands each of its ``m2_files`` M2 files,
+    parsed against ``sources``: one empty dict per source when there are two
+    or more files, else ``None``.
+
+    Only a later file reads what an earlier one left in a memo.  A lone file
+    parsed with ``None`` drops each entry's memo when the entry ends, where a
+    list would hold every entry's checked lines until the caller lets it go,
+    which it should do once its last M2 file is parsed.
+    """
+    return [{} for _ in sources] if m2_files > 1 else None
+
+
 def load_matching_m2(
     path, sources: Sequence[Sentence], source_name, memos: Sequence[dict] | None = None
 ) -> list[M2Entry]:
@@ -353,11 +373,11 @@ def load_matching_m2(
 
     The file is parsed against ``sources`` (see ``parse_m2``): an entry whose
     ``S`` line holds its source's text reuses that ``Sentence``.  Hand every
-    M2 file of one call the same ``memos``, one dict per source (say
-    ``[{} for _ in sources]``), and a later file checks an edit line that an
-    earlier file's same entry held only for its annotator id.  A count or
-    source mismatch is raised after parsing, so a malformed line is reported
-    first, as it would be without ``sources``.
+    M2 file of one call the same ``memos`` (see ``shared_memos``), and a
+    later file checks an edit line that an earlier file's same entry held
+    only for its annotator id.  A count or source mismatch is raised after
+    parsing, so a malformed line is reported first, as it would be without
+    ``sources``.
     """
     entries = parse_m2(_read_text(path), sources, memos)
     if len(entries) != len(sources):
@@ -380,7 +400,7 @@ def load_hypothesis_sets(
     lowest-id annotator's edits; anything else is read as text and aligned
     with ``extract_edits``.
     """
-    if str(path).lower().endswith(".m2"):
+    if is_m2(path):
         entries = load_matching_m2(path, sources, source_name, memos)
         return [primary_edit_set(entry) for entry in entries]
     hyps = load_sentences(path)
@@ -410,16 +430,24 @@ def load_parallel(source_path, hyp_paths: Sequence) -> tuple[CorpusEntry, ...]:
     one ``CorpusEntry`` per source line, ready for ``combine_corpus``.
 
     Hypothesis edits are extracted on load; ``.m2`` hypothesis files are
-    parsed instead, all against one list of per-entry memos, so an edit line
-    that several systems share is checked in full once.  System labels come
-    from the file stems, deduplicated as ``stem.2``, ``stem.3``, ...; a stem
-    equal to ``greedy`` or ``vote-<m>`` is deduplicated the same way, so
-    every label in a ``--report`` line is unique.
+    parsed instead, two or more of them against one list of per-entry memos
+    (``shared_memos``), so an edit line that several systems share is checked
+    in full once.  The list is dropped once the last ``.m2`` file is parsed.
+    System labels come from the file stems, deduplicated as ``stem.2``,
+    ``stem.3``, ...; a stem equal to ``greedy`` or ``vote-<m>`` is
+    deduplicated the same way, so every label in a ``--report`` line is
+    unique.
     """
     sources = load_sentences(source_path)
     labels = _labels_for(hyp_paths)
-    memos = [{} for _ in sources]
-    columns = [load_hypothesis_sets(path, sources, source_path, memos) for path in hyp_paths]
+    m2_left = sum(map(is_m2, hyp_paths))
+    memos = shared_memos(sources, m2_left)
+    columns = []
+    for path in hyp_paths:
+        columns.append(load_hypothesis_sets(path, sources, source_path, memos))
+        m2_left -= is_m2(path)
+        if not m2_left:
+            memos = None
     return tuple(
         CorpusEntry(
             source=source,

@@ -20,6 +20,14 @@ REWARD_KINDS = ("recall", "precision", "f", "f-paper", "jaccard")
 BETA_MIN, BETA_MAX = 1e-100, 1e100
 
 
+def check_beta(beta: float) -> None:
+    """Raise ``ValueError`` unless ``beta`` lies in [``BETA_MIN``, ``BETA_MAX``]."""
+    if not 0 < beta < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
+    if not BETA_MIN <= beta <= BETA_MAX:
+        raise ValueError(f"beta must be between {BETA_MIN:g} and {BETA_MAX:g}, got {beta}")
+
+
 @dataclass(frozen=True, slots=True)
 class RewardConfig:
     """Reward kind and the F rewards' ``beta``.
@@ -41,10 +49,7 @@ class RewardConfig:
     def __post_init__(self) -> None:
         if self.kind not in REWARD_KINDS:
             raise ValueError(f"unknown reward kind {self.kind!r}; expected one of {REWARD_KINDS}")
-        if not 0 < self.beta < math.inf:
-            raise ValueError(f"beta must be positive and finite, got {self.beta}")
-        if not BETA_MIN <= self.beta <= BETA_MAX:
-            raise ValueError(f"beta must be between {BETA_MIN:g} and {BETA_MAX:g}, got {self.beta}")
+        check_beta(self.beta)
 
 
 def _score(overlap: int, n_ref: int, n_hyp: int, config: RewardConfig) -> float:

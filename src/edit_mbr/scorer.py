@@ -13,6 +13,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .edit_core import EditSet, check_source_len
+from .rewards import check_beta
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,8 +45,10 @@ def score_sentence(hyp: EditSet, refs: Sequence[EditSet], beta: float = 0.5) -> 
 
     The annotator maximizing sentence F wins; ties prefer more true
     positives, then the earlier annotator.  Every reference must be built
-    for the hypothesis's source length (``ValidationError`` otherwise).
+    for the hypothesis's source length (``ValidationError`` otherwise), and
+    ``beta`` must pass ``rewards.check_beta`` (``ValueError`` otherwise).
     """
+    check_beta(beta)
     if not refs:
         raise ValueError("need at least one reference annotator")
     hyp_edits = frozenset(hyp.edits)
@@ -62,7 +65,11 @@ def score_sentence(hyp: EditSet, refs: Sequence[EditSet], beta: float = 0.5) -> 
 def score_corpus(
     hyps: Sequence[EditSet], refs: Sequence[Sequence[EditSet]], beta: float = 0.5
 ) -> ScoreReport:
-    """Micro-averaged corpus score: per-sentence best-annotator counts, summed."""
+    """Micro-averaged corpus score: per-sentence best-annotator counts, summed.
+
+    ``beta`` is checked as ``score_sentence`` checks it, also for an empty corpus.
+    """
+    check_beta(beta)
     if len(hyps) != len(refs):
         raise ValueError(
             f"hypothesis/reference length mismatch: {len(hyps)} vs {len(refs)}"

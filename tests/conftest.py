@@ -15,17 +15,35 @@ pairwise conflict rule and the sorted ``EditSet`` scan that occupancy masks
 replaced; every generator and oracle here uses them, not ``conflicts``.
 ``bf_parse_m2`` is the M2 parser from before annotation lines were memoized
 per entry: it splits and checks every line in full, on lines from
-``bf_lines``, the line splitter of that time.
+``bf_lines``, the line splitter of that time.  The ``memos_seen`` fixture
+records the memo list each ``parse_m2`` call is handed.
 """
 
 import itertools
 import math
 import random
 
+import pytest
+
+from edit_mbr import m2_io
 from edit_mbr.combiner import CombineResult, GreedyStep, vote_candidates
 from edit_mbr.edit_core import Candidate, Edit, EditSet, Sentence, ValidationError
 from edit_mbr.m2_io import _EMPTY_REPLACEMENT, Annotation, M2Entry, M2ParseError
 from edit_mbr.rewards import expected_reward
+
+
+@pytest.fixture
+def memos_seen(monkeypatch) -> list:
+    """The ``memos`` argument of each ``m2_io.parse_m2`` call in the test, in order."""
+    seen = []
+    parse = m2_io.parse_m2
+
+    def spy(text, sources=None, memos=None):
+        seen.append(memos)
+        return parse(text, sources, memos)
+
+    monkeypatch.setattr(m2_io, "parse_m2", spy)
+    return seen
 
 
 def bf_conflicts(first: Edit, second: Edit) -> bool:

@@ -20,6 +20,8 @@ import edit_mbr
 from edit_mbr.cli import main
 from edit_mbr.m2_io import load_sentences, parse_m2
 
+MATRIX = Path(__file__).parent / "data" / "matrix"
+
 SRC_LINES = ["a b c", "x y z", "p q"]
 HYP1_LINES = ["a B c", "x y z w", "p q"]
 HYP2_LINES = ["a B c d", "x y z", "p q"]
@@ -415,6 +417,34 @@ class TestScoreCommand:
         assert main(["score", str(src), str(hyp_m2), str(ref)]) == 0
         assert capsys.readouterr().out.strip() == "P 0.6667 R 0.6667 F0.5 0.6667"
 
+    @pytest.mark.parametrize("hyp, calls", [("hyp0.txt", 1), ("sys0.m2", 2)])
+    def test_memos_are_shared_only_when_the_hypothesis_is_m2_too(
+        self, memos_seen, capsys, hyp, calls
+    ):
+        argv = ["score", str(MATRIX / "src.txt"), str(MATRIX / hyp), str(MATRIX / "ref.m2")]
+        assert main(argv) == 0
+        assert len(memos_seen) == calls
+        if calls == 1:
+            assert memos_seen == [None]
+        else:
+            assert isinstance(memos_seen[0], list) and memos_seen[1] is memos_seen[0]
+
+    def test_fifo_hypothesis_is_read_once_without_a_manifest(self, tmp_path, capsys):
+        argv = ["score", str(MATRIX / "src.txt"), str(MATRIX / "hyp0.txt"), str(MATRIX / "ref.m2")]
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+        fifo = tmp_path / "hyp.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(
+            target=fifo.write_bytes, args=((MATRIX / "hyp0.txt").read_bytes(),), daemon=True
+        )
+        writer.start()
+        argv[2] = str(fifo)
+        assert main(argv) == 0
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert capsys.readouterr().out == want
+
     def test_reference_source_mismatch(self, tmp_path):
         src = write(tmp_path / "src.txt", ["z z z"])
         hyp = write(tmp_path / "hyp.txt", ["z z q"])
@@ -535,6 +565,41 @@ class TestCollidingPaths:
         argv += ["-o", os.devnull, "--trace", os.devnull]
         assert main(argv + ["--manifest", str(tmp_path / "m.json")]) == 0
 
+    def test_fifo_input_with_a_manifest_is_refused_unread(self, corpus, tmp_path, capsys):
+        # A manifest would record the digest of a second read of the pipe,
+        # which sees nothing.
+        fifo = tmp_path / "hyp.fifo"
+        os.mkfifo(fifo)
+        opened, stop = threading.Event(), threading.Event()
+
+        def write():
+            # Serve every open of the read end, so a command that does read
+            # the FIFO (once, or twice for a digest) returns instead of hanging.
+            while True:
+                with open(fifo, "wb") as handle:  # blocks until a reader opens
+                    if stop.is_set():
+                        return
+                    opened.set()
+                    handle.write(corpus["hyps"][0].read_bytes())
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        out = tmp_path / "out.txt"
+        argv = ["combine", str(corpus["src"]), str(fifo), str(corpus["hyps"][1]), "-o", str(out)]
+        code = main(argv)
+        unread = not opened.is_set()
+        stop.set()
+        with open(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK), "rb"):
+            writer.join(timeout=10)
+        assert code == 1 and unread and not writer.is_alive()
+        assert capsys.readouterr().err == (
+            "edit-mbr: error: HYPOTHESIS is not a regular file, so the manifest "
+            f"cannot record its digest: {fifo}\n"
+        )
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            ["src.txt", "hyp1.txt", "hyp2.txt", "hyp3.txt", "hyp.fifo"]
+        )
+
     def test_output_may_still_overwrite_an_input(self, corpus, tmp_path):
         hyp = corpus["hyps"][0]
         assert main(["combine", str(corpus["src"]), str(hyp), "-o", str(hyp)]) == 0
@@ -652,3 +717,26 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_score_without_a_manifest_does_not_load_openssl(self, tmp_path):
+        # hashlib loads OpenSSL through _hashlib; only a digest needs it.
+        src = str(Path(edit_mbr.__file__).resolve().parent.parent)
+        files = [str(MATRIX / name) for name in ("src.txt", "hyp0.txt", "ref.m2")]
+        code = (
+            "import sys\n"
+            "from edit_mbr.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            "print(rc, sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n"
+        )
+        manifest = str(tmp_path / "score.json")
+        got = []
+        for extra in ([], ["--manifest", manifest]):
+            proc = subprocess.run(
+                [sys.executable, "-c", code, "score", *files, *extra],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": src},
+            )
+            assert proc.returncode == 0, proc.stderr
+            got.append(proc.stdout.splitlines()[-1])
+        assert got == ["0 []", "0 ['_hashlib', 'hashlib']"]

@@ -429,6 +429,25 @@ class TestSharedMemo:
         with pytest.raises(ValidationError, match="2 entries, but .* has 1 lines$"):
             load_matching_m2(paths[1], sources, src, memos)
 
+    def test_memos_are_shared_only_between_two_or_more_m2_files(self, tmp_path, memos_seen):
+        text = f"S a b c\n{_line('1 2', 'UNK', 'B')}\n\n"
+        src, paths = self.write(tmp_path, ["a b c"], [text, text, text])
+        (tmp_path / "hyp.txt").write_text("a B c\n", encoding="utf-8")
+        for hyp_paths, shared in [
+            ([paths[0]], False),
+            ([paths[0], tmp_path / "hyp.txt"], False),
+            (paths[:2], True),
+            ([paths[0], tmp_path / "hyp.txt", paths[1], paths[2]], True),
+        ]:
+            memos_seen.clear()
+            load_parallel(src, hyp_paths)
+            assert len(memos_seen) == sum(path.suffix == ".m2" for path in hyp_paths)
+            if shared:
+                first = memos_seen[0]
+                assert isinstance(first, list) and all(memos is first for memos in memos_seen)
+            else:
+                assert memos_seen == [None]
+
     def test_without_sources_every_entry_is_parsed_alone(self):
         text = f"S a b c\n{_line('1 2', 'UNK', 'B')}\n\nS a b c\n{_line('1 2', 'UNK', 'B')}\n"
         first, second = parse_m2(text)
@@ -646,12 +665,12 @@ class TestLineReaders:
             assert _outcome(parse_m2, text) == want, text
             if isinstance(want, list):
                 entries = parse_m2(text)
+                annotations = [a for entry in entries for a in entry.annotations]
                 tokens = [entry.source.tokens for entry in entries] + [
-                    edit.replacement
-                    for entry in entries
-                    for annotation in entry.annotations
-                    for edit in annotation.edits
+                    edit.replacement for annotation in annotations for edit in annotation.edits
                 ]
                 assert _shared_tokens(tokens)
+                # Equal type fields of the call are one object too.
+                assert _shared_tokens([annotation.types for annotation in annotations])
                 parsed += 1
         assert parsed > 500

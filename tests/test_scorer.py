@@ -1,11 +1,13 @@
 """Edit-level P/R/F scoring: fixtures, annotator choice, micro-averaging."""
 
+import math
 import random
 
 import pytest
 
 from conftest import random_edit_set
 from edit_mbr.edit_core import Edit, EditSet, ValidationError
+from edit_mbr.rewards import RewardConfig
 from edit_mbr.scorer import score_corpus, score_sentence
 
 B = Edit(1, 2, ("B",))
@@ -126,3 +128,20 @@ class TestScoreCorpus:
         a = EditSet(5, (B, D))
         b = EditSet(5, (D, B))
         assert score_sentence(a, [b], beta=0.5).f == 1.0
+
+
+# Outside [BETA_MIN, BETA_MAX] beta squared overflows or underflows, and a
+# perfect match scored f=nan.
+@pytest.mark.parametrize("beta", [0.0, -0.5, math.nan, math.inf, 1e200, 1e-200])
+def test_beta_outside_the_reward_range_is_rejected_with_reward_config_message(beta):
+    with pytest.raises(ValueError) as want:
+        RewardConfig(beta=beta)
+    calls = [
+        lambda: score_sentence(EditSet(3, (B,)), [EditSet(3, (B,))], beta=beta),
+        lambda: score_corpus([es(B)], [[es(B)]], beta=beta),
+        lambda: score_corpus([], [], beta=beta),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as got:
+            call()
+        assert str(got.value) == str(want.value)
