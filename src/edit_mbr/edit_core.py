@@ -21,12 +21,15 @@ class ValidationError(ValueError):
 def _check_token(token: str) -> None:
     if not token:
         raise ValidationError("tokens must be non-empty")
+    if not isinstance(token, str):
+        raise ValidationError(f"token is not a str: {token!r}")
     if any(ch.isspace() for ch in token):
         raise ValidationError(f"token contains whitespace: {token!r}")
 
 
 def _check_tokens(tokens: tuple[str, ...]) -> None:
-    """Raise ``ValidationError`` naming the first empty or whitespace token.
+    """Raise ``ValidationError`` naming the first empty, non-``str`` or
+    whitespace token.
 
     ``str.split()`` splits on exactly the characters ``str.isspace()`` accepts,
     so re-splitting the joined tokens gives them back unchanged precisely when
@@ -134,23 +137,38 @@ class EditSet:
     edits: tuple[Edit, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.source_len < 0:
+        """Sort the edits, drop duplicates, and check range and conflicts.
+
+        In span order an edit's ``_mask`` bits start no lower than those of
+        the edits before it, so in a conflict-free prefix the previous edit
+        reaches furthest, and an edit clashes with some earlier one exactly
+        when it clashes with that neighbour: when it starts before the
+        neighbour's end, or both are insertions at one point (its end is
+        the neighbour's start).  An equal edit clashes by that test too, so
+        only a clash is compared for equality, and dropped when equal.
+        Every edit is range-checked, so a range error wins over a conflict.
+        """
+        source_len = self.source_len
+        if source_len < 0:
             raise ValidationError("source_len must be >= 0")
-        object.__setattr__(self, "edits", tuple(sorted(set(self.edits))))
-        occupied = 0
-        clash = None
-        for edit in self.edits:
-            if edit.end > self.source_len:
-                raise ValidationError(
-                    f"edit {edit!r} exceeds source length {self.source_len}"
-                )
-            mask = _mask(edit)
-            if occupied & mask and clash is None:
-                clash = edit
-            occupied |= mask
+        kept: list[Edit] = []
+        prev = clash = None
+        prev_start = prev_end = -1
+        for edit in sorted(self.edits):
+            start, end, _ = edit
+            if end > source_len:
+                raise ValidationError(f"edit {edit!r} exceeds source length {source_len}")
+            if start < prev_end or end == prev_start:
+                if edit == prev:
+                    continue
+                if clash is None:
+                    clash = edit
+            kept.append(edit)
+            prev, prev_start, prev_end = edit, start, end
+        object.__setattr__(self, "edits", tuple(kept))
         if clash is not None:
             # The earliest edit that clashes with the first clashing one.
-            partner = next(e for e in self.edits if conflicts(e, clash))
+            partner = next(e for e in kept if conflicts(e, clash))
             raise ValidationError(f"conflicting edits: {partner!r} vs {clash!r}")
 
     def __len__(self) -> int:

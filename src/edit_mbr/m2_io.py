@@ -150,6 +150,17 @@ def _annotator_id(field: str, line_no: int) -> int:
     return annotator
 
 
+def _span(field: str, line_no: int) -> tuple[int, int]:
+    """The start and end an ``A`` line's first field holds: two integers."""
+    span = field.split()
+    if len(span) != 2:
+        raise M2ParseError(f"line {line_no}: edit span must be two integers")
+    try:
+        return int(span[0]), int(span[1])
+    except ValueError as exc:
+        raise M2ParseError(f"line {line_no}: non-integer edit span") from exc
+
+
 def parse_m2(
     text: str,
     sources: Sequence[Sentence] | None = None,
@@ -181,7 +192,11 @@ def parse_m2(
 
     The text is split a block of lines at a time (see ``_lines``).  Equal
     tokens of the call's fresh ``S`` lines and replacements, and equal type
-    fields, share one ``str`` object.
+    fields, share one ``str`` object.  The call keeps tables from the text
+    of an ``A`` line's annotator-id, span and replacement fields to their
+    parsed values.  A field enters its table only once it has passed its
+    checks, so a bad field fails at its own line with its own message, and
+    a line whose fields are all in the tables is checked without ``int``.
     """
     entries: list[M2Entry] = []
     source: Sentence | None = None
@@ -197,6 +212,11 @@ def parse_m2(
     # One object per distinct token of this text (see ``load_sentences``).
     words: dict[str, str] = {}
     word = words.setdefault
+    # The call's annotator-id, span and replacement fields, by their text, as
+    # parsed; a field is stored only once it has passed its own checks.
+    annotators: dict[str, int] = {}
+    spans: dict[str, tuple[int, int]] = {}
+    replacements: dict[str, tuple[str, ...]] = {_EMPTY_REPLACEMENT: (), "": ()}
 
     def close() -> None:
         nonlocal source, pending, parsed
@@ -225,47 +245,45 @@ def parse_m2(
             # line with the same key splits into the same first five fields.
             key, _, annotator_field = line.rpartition("|||")
             hit = parsed.get(key)
-            if hit is not None:
-                edit, type_str = hit
-                annotator = _annotator_id(annotator_field, line_no)
-                pending.setdefault(annotator, {}).setdefault(edit, type_str)
-                continue
-            if source is None:
-                raise M2ParseError(f"line {line_no}: annotation line before any source line")
-            fields = line[2:].split("|||")
-            if len(fields) != 6:
-                raise M2ParseError(
-                    f"line {line_no}: expected 6 '|||'-separated fields, got {len(fields)}"
-                )
-            span = fields[0].split()
-            if len(span) != 2:
-                raise M2ParseError(f"line {line_no}: edit span must be two integers")
-            try:
-                start, end = int(span[0]), int(span[1])
-            except ValueError as exc:
-                raise M2ParseError(f"line {line_no}: non-integer edit span") from exc
-            annotator = _annotator_id(fields[5], line_no)
-            if start == -1 and end == -1:
-                pending.setdefault(annotator, {})
-                continue
-            if not 0 <= start <= end <= source_len:
-                raise M2ParseError(
-                    f"line {line_no}: edit span {start} {end} out of range for "
-                    f"source of {source_len} tokens"
-                )
-            replacement_field = fields[2]
-            if replacement_field in (_EMPTY_REPLACEMENT, ""):
-                replacement = ()
-            else:
-                tokens = replacement_field.split()
-                replacement = tuple(map(word, tokens, tokens))
-            try:
-                edit = Edit(start, end, replacement)
-            except ValidationError as exc:
-                raise M2ParseError(f"line {line_no}: {exc}") from exc
-            type_str = word(fields[1], fields[1])
-            parsed[key] = edit, type_str
-            pending.setdefault(annotator, {}).setdefault(edit, type_str)
+            if hit is None:
+                if source is None:
+                    raise M2ParseError(f"line {line_no}: annotation line before any source line")
+                fields = line[2:].split("|||")
+                if len(fields) != 6:
+                    raise M2ParseError(
+                        f"line {line_no}: expected 6 '|||'-separated fields, got {len(fields)}"
+                    )
+                span = spans.get(fields[0])
+                if span is None:
+                    span = spans[fields[0]] = _span(fields[0], line_no)
+                annotator_field = fields[5]
+            annotator = annotators.get(annotator_field)
+            if annotator is None:
+                annotator = annotators[annotator_field] = _annotator_id(annotator_field, line_no)
+            edits = pending.get(annotator)
+            if edits is None:
+                edits = pending[annotator] = {}
+            if hit is None:
+                start, end = span
+                if start == -1 and end == -1:
+                    continue
+                if not 0 <= start <= end <= source_len:
+                    raise M2ParseError(
+                        f"line {line_no}: edit span {start} {end} out of range for "
+                        f"source of {source_len} tokens"
+                    )
+                # A replacement field has no check of its own: ``split`` tokens
+                # pass Edit's token check, and its no-op check is the span's.
+                replacement = replacements.get(fields[2])
+                if replacement is None:
+                    tokens = fields[2].split()
+                    replacement = replacements[fields[2]] = tuple(map(word, tokens, tokens))
+                try:
+                    edit = Edit(start, end, replacement)
+                except ValidationError as exc:
+                    raise M2ParseError(f"line {line_no}: {exc}") from exc
+                hit = parsed[key] = edit, word(fields[1], fields[1])
+            edits.setdefault(*hit)
         elif not line.strip():
             close()
         elif line == "S" or line.startswith("S "):

@@ -96,7 +96,7 @@ class RewardSet:
     each member directly gives.
     """
 
-    __slots__ = ("source_len", "_bits", "_refs", "_sizes", "_rows")
+    __slots__ = ("source_len", "_bits", "_refs", "_sizes", "_rows", "_members", "_own")
 
     def __init__(self, reward_set: Sequence[EditSet]) -> None:
         if not reward_set:
@@ -114,13 +114,22 @@ class RewardSet:
         self._refs = tuple(refs)
         self._sizes = tuple(len(ref) for ref in reward_set)
         self._rows: dict[tuple[int, str, float], list[tuple[float, ...]]] = {}
+        # Each member's mask by the member's id.  The table holds the members,
+        # so no other live object has one of these ids.
+        self._members = tuple(reward_set)
+        self._own = dict(zip(map(id, self._members), refs))
 
     def bit(self, edit: Edit) -> int:
         """The bit of ``edit``, or 0 when no member holds it."""
         return self._bits.get(edit, 0)
 
     def mask(self, edit_set: EditSet) -> int:
-        """The bits of the edits in ``edit_set`` that some member holds."""
+        """The bits of the edits in ``edit_set`` that some member holds.
+
+        A member's own mask, built with the table, is returned as it is."""
+        own = self._own.get(id(edit_set))
+        if own is not None:
+            return own
         check_source_len(self.source_len, edit_set)
         # Distinct edits have distinct bits, so the sum is the OR.
         return sum(map(self._bits.get, edit_set.edits, repeat(0)))

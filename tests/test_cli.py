@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: subcommands, exit codes, manifests, determinism."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -740,3 +741,79 @@ class TestModuleEntryPoint:
             assert proc.returncode == 0, proc.stderr
             got.append(proc.stdout.splitlines()[-1])
         assert got == ["0 []", "0 ['_hashlib', 'hashlib']"]
+
+
+class TestCollectorPause:
+    """``main`` pauses the cyclic collector for the command and restores it."""
+
+    @staticmethod
+    def argvs(out: Path) -> dict[str, list[str]]:
+        m = str(MATRIX)
+        return {
+            "greedy": ["combine", f"{m}/src.txt", f"{m}/hyp0.txt", f"{m}/hyp1.txt",
+                       f"{m}/sys0.m2", f"{m}/sys1.m2", f"{m}/sys2.m2", "--method", "greedy",
+                       "--report", "--trace", str(out.with_suffix(".jsonl")), "-o", str(out)],
+            "score": ["score", f"{m}/src.txt", f"{m}/sys0.m2", f"{m}/ref.m2", "--per-sentence"],
+            "usage": ["combine", f"{m}/src.txt", f"{m}/hyp0.txt", "--report"],
+            "data": ["apply", f"{m}/src.txt", f"{m}/bad_range.m2", str(out)],
+        }
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("case, code", [("score", 0), ("usage", 1), ("data", 2)])
+    def test_state_after_each_exit_is_the_state_before(self, tmp_path, capsys, case, code, enabled):
+        argv = self.argvs(tmp_path / "out.txt")[case]
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert main(argv) == code
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
+    def test_state_after_a_parser_exit_is_the_state_before(self, capsys):
+        assert gc.isenabled()
+        with pytest.raises(SystemExit) as info:
+            main(["combine", "--no-such-option"])
+        assert info.value.code == 1
+        assert gc.isenabled()
+
+    def test_collector_is_off_while_the_command_runs(self, monkeypatch, capsys):
+        import edit_mbr.cli as cli
+
+        seen = []
+        real = cli.load_sentences
+
+        def spy(path):
+            seen.append(gc.isenabled())
+            return real(path)
+
+        monkeypatch.setattr(cli, "load_sentences", spy)
+        assert gc.isenabled()
+        assert main(self.argvs(Path("unused"))["score"]) == 0
+        assert seen == [False] and gc.isenabled()
+
+    @staticmethod
+    def cyclic_garbage(argv) -> int:
+        """The objects ``gc.collect`` frees after ``main(argv)`` exits 0."""
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(argv) == 0
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("case", ["greedy", "score"])
+    def test_a_command_leaves_little_cyclic_garbage(self, tmp_path, capsys, case):
+        # While the collector is paused, a reference cycle made per sentence
+        # would hold its memory to the end of the run.  Parsing the arguments
+        # leaves a few hundred cyclic objects; the corpus must add none, so a
+        # corpus four times as long leaves no more.
+        argv = self.argvs(tmp_path / "out.txt")[case]
+        left = self.cyclic_garbage(argv)
+        longer = tmp_path / "longer"
+        longer.mkdir()
+        for name in ("src.txt", "hyp0.txt", "hyp1.txt", "sys0.m2", "sys1.m2", "sys2.m2", "ref.m2"):
+            (longer / name).write_bytes((MATRIX / name).read_bytes() * 4)
+        argv = [arg.replace(str(MATRIX), str(longer)) for arg in argv]
+        assert left < 1_000
+        assert self.cyclic_garbage(argv) <= left

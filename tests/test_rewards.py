@@ -255,6 +255,21 @@ class TestRewardSet:
                 config = RewardConfig(kind=kind)
                 assert reward(refs[0], hyp, config) == expected_reward(hyp, [refs[0]], config)
 
+    def test_member_and_an_equal_copy_score_alike(self):
+        # A member's mask is the one built with the table; an equal but
+        # distinct edit set is masked edit by edit, to the same bits.
+        for refs, _ in self.instances(200, seed=47):
+            table = RewardSet(refs)
+            for member in refs:
+                copy = EditSet(member.source_len, member.edits)
+                assert copy is not member
+                assert table.mask(copy) == table.mask(member)
+                for kind in REWARD_KINDS:
+                    config = RewardConfig(kind=kind, beta=2.0)
+                    assert expected_reward(copy, table, config) == expected_reward(
+                        member, table, config
+                    )
+
     def test_edit_outside_every_member_counts_only_in_size(self):
         table = RewardSet([es(B)])
         assert table.bit(D) == 0
