@@ -52,14 +52,12 @@ from .m2_io import (
     Annotation,
     M2Entry,
     emit_m2,
-    is_m2,
     load_hypothesis_sets,
     load_matching_m2,
     load_parallel,
     load_sentences,
     parse_m2,  # traced by perfbench/child.py
     primary_edit_set,
-    shared_memos,
 )
 from .rewards import REWARD_KINDS, RewardConfig, check_beta
 from .scorer import ScoreReport, score_corpus
@@ -216,6 +214,15 @@ def _resolve_threads(flag: int) -> int:
     return flag or os.cpu_count() or 1
 
 
+def _stdout(text: str) -> None:
+    """Write ``text`` to standard output; text its encoding cannot hold is a
+    data error, and then none of ``text`` is written."""
+    try:
+        sys.stdout.write(text)
+    except UnicodeEncodeError as exc:
+        raise ValidationError(f"cannot write to standard output: {exc}") from None
+
+
 def _as_m2(sources, edit_sets) -> str:
     """M2 text with each edit set as annotator 0 of its source."""
     return emit_m2(
@@ -258,7 +265,7 @@ def cmd_combine(args) -> dict:
     if args.out:
         outputs[args.out] = payload
     else:
-        sys.stdout.write(payload)
+        _stdout(payload)
     if args.trace:
         outputs[args.trace] = "".join(
             json.dumps(
@@ -279,12 +286,14 @@ def cmd_combine(args) -> dict:
             for step in result.trace
         )
     if args.report:
+        lines = []
         for index, result in enumerate(results):
             cells = " ".join(
                 f"{candidate.label}={score:.6f}"
                 for candidate, score in zip(result.selection, result.expected_rewards)
             )
-            print(f"sent {index} chosen={result.chosen.label} {cells}")
+            lines.append(f"sent {index} chosen={result.chosen.label} {cells}\n")
+        _stdout("".join(lines))
     return outputs
 
 
@@ -301,11 +310,9 @@ def cmd_score(args) -> dict:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     sources = load_sentences(args.source)
-    # The reference is parsed as M2 whatever its name, and parsed last.
-    memos = shared_memos(sources, 1 + is_m2(args.hypothesis))
-    hyp_sets = load_hypothesis_sets(args.hypothesis, sources, args.source, memos)
-    ref_entries = load_matching_m2(args.reference, sources, args.source, memos)
-    del memos
+    hyp_sets = load_hypothesis_sets(args.hypothesis, sources, args.source)
+    # The reference is parsed as M2 whatever its name.
+    ref_entries = load_matching_m2(args.reference, sources, args.source)
     ref_sets = []
     for index, entry in enumerate(ref_entries):
         if not entry.annotations:

@@ -147,14 +147,20 @@ class EditSet:
         the neighbour's start).  An equal edit clashes by that test too, so
         only a clash is compared for equality, and dropped when equal.
         Every edit is range-checked, so a range error wins over a conflict.
+        An item that is not an ``Edit`` (a bare tuple, say) skipped
+        ``Edit``'s checks, so it is refused before anything is sorted.
         """
         source_len = self.source_len
         if source_len < 0:
             raise ValidationError("source_len must be >= 0")
+        edits = tuple(self.edits)
+        for edit in edits:
+            if not isinstance(edit, Edit):
+                raise ValidationError(f"edit set item is not an Edit: {edit!r}")
         kept: list[Edit] = []
         prev = clash = None
         prev_start = prev_end = -1
-        for edit in sorted(self.edits):
+        for edit in sorted(edits):
             start, end, _ = edit
             if end > source_len:
                 raise ValidationError(f"edit {edit!r} exceeds source length {source_len}")

@@ -164,31 +164,32 @@ def _span(field: str, line_no: int) -> tuple[int, int]:
 def parse_m2(
     text: str,
     sources: Sequence[Sentence] | None = None,
-    memos: Sequence[dict] | None = None,
+    memo: dict | None = None,
 ) -> list[M2Entry]:
     """Parse M2 file content into entries.
 
     Raises ``M2ParseError`` (with a line number) for malformed lines,
     out-of-range edit spans, or overlapping edits within one annotator.
 
-    Each distinct annotation line is validated once per entry: a line whose
-    text before its last ``|||`` (everything but the annotator id) repeats an
-    earlier valid edit line of the same entry checks only its own annotator
-    field and shares that line's ``Edit``.  The entry's source, and with it
-    the range check, is the same for both lines, so errors, their line
-    numbers and the entries returned are those of checking every line in full.
+    Each distinct annotation line is validated in full once: a line whose
+    text before its last ``|||`` (everything but the annotator id) repeats
+    an earlier valid edit line checks only its own annotator field and that
+    the shared ``Edit`` ends within its own entry's source, and shares that
+    ``Edit``.  Every other check of an edit line is independent of the
+    entry, so errors, their line numbers and the entries returned are those
+    of checking every line in full.  ``memo`` is the dict of valid edit
+    lines (text before the last ``|||`` -> (edit, type)): when given, it
+    serves every entry of the call and is left holding the call's lines, so
+    the M2 files of one call that are handed one dict check a line an
+    earlier file held only for its annotator id and range.  ``None`` gives
+    each entry a memo of its own.
 
     ``sources`` are the sentences the entries are expected to hold, as read
     by the caller.  When the text of entry k's ``S`` line equals
-    ``sources[k].text()``, the entry reuses that ``Sentence`` and takes
-    ``memos[k]`` (when given) as its memo of valid edit lines, so files
-    parsed against one list of sources and memos check a line that an
-    earlier file's entry k already held only for its annotator id.  Any
-    other ``S`` line (another source, other spacing, an entry past the end
-    of ``sources``) builds a fresh ``Sentence`` with a memo of its own, so a
-    line checked against one source is never taken on trust for another.
-    Whether the sources match is the caller's check: the entries returned
-    equal those of ``parse_m2(text)``.
+    ``sources[k].text()``, the entry reuses that ``Sentence``; any other
+    ``S`` line (another source, other spacing, an entry past the end of
+    ``sources``) builds a fresh one.  Whether the sources match is the
+    caller's check: the entries returned equal those of ``parse_m2(text)``.
 
     The text is split a block of lines at a time (see ``_lines``).  Equal
     tokens of the call's fresh ``S`` lines and replacements, and equal type
@@ -203,10 +204,6 @@ def parse_m2(
     source_len = 0
     # Per annotator, each distinct edit with the type of its first line.
     pending: dict[int, dict[Edit, str]] = {}
-    # Valid edit lines of the current entry: text before the last '|||' ->
-    # (edit, type).  Taken from ``memos`` when the entry matches its source,
-    # so never cleared in place; empty whenever ``source`` is None.
-    parsed: dict[str, tuple[Edit, str]] = {}
     sources = sources or ()
     entry_line = 0
     # One object per distinct token of this text (see ``load_sentences``).
@@ -219,7 +216,7 @@ def parse_m2(
     replacements: dict[str, tuple[str, ...]] = {_EMPTY_REPLACEMENT: (), "": ()}
 
     def close() -> None:
-        nonlocal source, pending, parsed
+        nonlocal source, pending
         if source is None:
             return
         annotations = []
@@ -236,18 +233,17 @@ def parse_m2(
         entries.append(M2Entry(source, tuple(annotations)))
         source = None
         pending = {}
-        parsed = {}
 
     for line_no, line in enumerate(_lines(text), start=1):
         if line.startswith("A "):
+            if source is None:
+                raise M2ParseError(f"line {line_no}: annotation line before any source line")
             # A line that passed every check has an integer, so '|'-free,
             # sixth field: its last '|||' is its fifth separator, and a later
             # line with the same key splits into the same first five fields.
             key, _, annotator_field = line.rpartition("|||")
             hit = parsed.get(key)
             if hit is None:
-                if source is None:
-                    raise M2ParseError(f"line {line_no}: annotation line before any source line")
                 fields = line[2:].split("|||")
                 if len(fields) != 6:
                     raise M2ParseError(
@@ -267,11 +263,15 @@ def parse_m2(
                 start, end = span
                 if start == -1 and end == -1:
                     continue
-                if not 0 <= start <= end <= source_len:
-                    raise M2ParseError(
-                        f"line {line_no}: edit span {start} {end} out of range for "
-                        f"source of {source_len} tokens"
-                    )
+            else:
+                start, end, _ = hit[0]
+            # The one check of a valid line that depends on its entry.
+            if not 0 <= start <= end <= source_len:
+                raise M2ParseError(
+                    f"line {line_no}: edit span {start} {end} out of range for "
+                    f"source of {source_len} tokens"
+                )
+            if hit is None:
                 # A replacement field has no check of its own: ``split`` tokens
                 # pass Edit's token check, and its no-op check is the span's.
                 replacement = replacements.get(fields[2])
@@ -291,8 +291,6 @@ def parse_m2(
             index = len(entries)
             if index < len(sources) and line[2:] == sources[index].text():
                 source = sources[index]
-                if memos is not None:
-                    parsed = memos[index]
             else:
                 tokens = line[2:].split()
                 try:
@@ -300,8 +298,9 @@ def parse_m2(
                 except ValidationError as exc:
                     raise M2ParseError(f"line {line_no}: {exc}") from exc
             source_len = len(source)
-            pending = {}
             entry_line = line_no
+            # Valid edit lines: text before the last '|||' -> (edit, type).
+            parsed = {} if memo is None else memo
         else:
             raise M2ParseError(f"line {line_no}: unrecognized line {line[:40]!r}")
     close()
@@ -371,33 +370,19 @@ def is_m2(path) -> bool:
     return str(path).lower().endswith(".m2")
 
 
-def shared_memos(sources: Sequence[Sentence], m2_files: int) -> list[dict] | None:
-    """The per-entry memos a call hands each of its ``m2_files`` M2 files,
-    parsed against ``sources``: one empty dict per source when there are two
-    or more files, else ``None``.
-
-    Only a later file reads what an earlier one left in a memo.  A lone file
-    parsed with ``None`` drops each entry's memo when the entry ends, where a
-    list would hold every entry's checked lines until the caller lets it go,
-    which it should do once its last M2 file is parsed.
-    """
-    return [{} for _ in sources] if m2_files > 1 else None
-
-
 def load_matching_m2(
-    path, sources: Sequence[Sentence], source_name, memos: Sequence[dict] | None = None
+    path, sources: Sequence[Sentence], source_name, memo: dict | None = None
 ) -> list[M2Entry]:
     """Parse an M2 file whose entries must match ``sources`` one to one.
 
-    The file is parsed against ``sources`` (see ``parse_m2``): an entry whose
-    ``S`` line holds its source's text reuses that ``Sentence``.  Hand every
-    M2 file of one call the same ``memos`` (see ``shared_memos``), and a
-    later file checks an edit line that an earlier file's same entry held
-    only for its annotator id.  A count or source mismatch is raised after
-    parsing, so a malformed line is reported first, as it would be without
-    ``sources``.
+    The file is parsed against ``sources`` with ``memo`` (see ``parse_m2``):
+    an entry whose ``S`` line holds its source's text reuses that
+    ``Sentence``, and a file handed the dict an earlier file of the call
+    filled checks an edit line that file held only for its annotator id and
+    range.  A count or source mismatch is raised after parsing, so a
+    malformed line is reported first, as it would be without ``sources``.
     """
-    entries = parse_m2(_read_text(path), sources, memos)
+    entries = parse_m2(_read_text(path), sources, memo)
     if len(entries) != len(sources):
         raise ValidationError(
             f"{path}: {len(entries)} entries, but {source_name} has {len(sources)} lines"
@@ -409,17 +394,17 @@ def load_matching_m2(
 
 
 def load_hypothesis_sets(
-    path, sources: Sequence[Sentence], source_name, memos: Sequence[dict] | None = None
+    path, sources: Sequence[Sentence], source_name, memo: dict | None = None
 ) -> list[EditSet]:
     """One edit set per source line from a text or M2 hypothesis file.
 
     ``.m2`` files are parsed (their sources must match ``sources``, and
-    ``memos`` is passed on to ``load_matching_m2``) and give their
+    ``memo`` is passed on to ``load_matching_m2``) and give their
     lowest-id annotator's edits; anything else is read as text and aligned
     with ``extract_edits``.
     """
     if is_m2(path):
-        entries = load_matching_m2(path, sources, source_name, memos)
+        entries = load_matching_m2(path, sources, source_name, memo)
         return [primary_edit_set(entry) for entry in entries]
     hyps = load_sentences(path)
     if len(hyps) != len(sources):
@@ -448,9 +433,11 @@ def load_parallel(source_path, hyp_paths: Sequence) -> tuple[CorpusEntry, ...]:
     one ``CorpusEntry`` per source line, ready for ``combine_corpus``.
 
     Hypothesis edits are extracted on load; ``.m2`` hypothesis files are
-    parsed instead, two or more of them against one list of per-entry memos
-    (``shared_memos``), so an edit line that several systems share is checked
-    in full once.  The list is dropped once the last ``.m2`` file is parsed.
+    parsed instead.  Two or more of them share one memo of checked edit
+    lines (see ``parse_m2``), so an edit line that several systems share is
+    checked in full once; the memo is dropped once the last ``.m2`` file is
+    parsed.  This is the one place that shares a memo: with one ``.m2``
+    file, and in ``score`` and ``apply``, each entry keeps a memo of its own.
     System labels come from the file stems, deduplicated as ``stem.2``,
     ``stem.3``, ...; a stem equal to ``greedy`` or ``vote-<m>`` is
     deduplicated the same way, so every label in a ``--report`` line is
@@ -459,19 +446,14 @@ def load_parallel(source_path, hyp_paths: Sequence) -> tuple[CorpusEntry, ...]:
     sources = load_sentences(source_path)
     labels = _labels_for(hyp_paths)
     m2_left = sum(map(is_m2, hyp_paths))
-    memos = shared_memos(sources, m2_left)
+    memo = {} if m2_left > 1 else None
     columns = []
     for path in hyp_paths:
-        columns.append(load_hypothesis_sets(path, sources, source_path, memos))
+        columns.append(load_hypothesis_sets(path, sources, source_path, memo))
         m2_left -= is_m2(path)
         if not m2_left:
-            memos = None
+            memo = None
     return tuple(
-        CorpusEntry(
-            source=source,
-            systems=tuple(
-                Candidate(columns[s][i], labels[s]) for s in range(len(hyp_paths))
-            ),
-        )
-        for i, source in enumerate(sources)
+        CorpusEntry(source, tuple(map(Candidate, edit_sets, labels)))
+        for source, *edit_sets in zip(sources, *columns)
     )

@@ -9,14 +9,15 @@ with a run merger of its own, as an oracle for ``extract_edits`` (which
 reads edits straight off its backtrace).  ``bf_intersect`` is the
 edits-in-every-set loop that ``intersect`` kept before it became the top
 vote set.  ``bf_greedy`` is the greedy loop that built and scored one
-``EditSet`` per candidate before greedy scored bitmasks.  All are kept here
-as oracles.  ``bf_conflicts`` and ``bf_first_conflict`` are the
+``EditSet`` per candidate before greedy scored bitmasks, on vote candidates
+from ``bf_vote_set`` and scores from ``bf_expected``.  All are kept here as
+oracles.  ``bf_conflicts`` and ``bf_first_conflict`` are the
 pairwise conflict rule and the sorted ``EditSet`` scan that occupancy masks
 replaced; every generator and oracle here uses them, not ``conflicts``.
 ``bf_parse_m2`` is the M2 parser from before annotation lines were memoized
 per entry: it splits and checks every line in full, on lines from
-``bf_lines``, the line splitter of that time.  The ``memos_seen`` fixture
-records the memo list each ``parse_m2`` call is handed.
+``bf_lines``, the line splitter of that time.  The ``memo_seen`` fixture
+records the memo each ``parse_m2`` call is handed.
 """
 
 import itertools
@@ -26,21 +27,20 @@ import random
 import pytest
 
 from edit_mbr import m2_io
-from edit_mbr.combiner import CombineResult, GreedyStep, vote_candidates
+from edit_mbr.combiner import CombineResult, GreedyStep
 from edit_mbr.edit_core import Candidate, Edit, EditSet, Sentence, ValidationError
 from edit_mbr.m2_io import _EMPTY_REPLACEMENT, Annotation, M2Entry, M2ParseError
-from edit_mbr.rewards import expected_reward
 
 
 @pytest.fixture
-def memos_seen(monkeypatch) -> list:
-    """The ``memos`` argument of each ``m2_io.parse_m2`` call in the test, in order."""
+def memo_seen(monkeypatch) -> list:
+    """The ``memo`` argument of each ``m2_io.parse_m2`` call in the test, in order."""
     seen = []
     parse = m2_io.parse_m2
 
-    def spy(text, sources=None, memos=None):
-        seen.append(memos)
-        return parse(text, sources, memos)
+    def spy(text, sources=None, memo=None):
+        seen.append(memo)
+        return parse(text, sources, memo)
 
     monkeypatch.setattr(m2_io, "parse_m2", spy)
     return seen
@@ -241,15 +241,22 @@ def bf_edits(source: Sentence, hypothesis: Sentence) -> EditSet:
 def bf_greedy(systems, config) -> CombineResult:
     """Greedy combination with a fresh ``EditSet`` per candidate insertion,
     scored against the reward set as a list of edit sets: systems, then vote
-    candidates, then the grown set are selected by first maximum."""
+    candidates, then the grown set are selected by first maximum.  Vote
+    candidates come from ``bf_vote_set`` and every score from ``bf_expected``.
+    """
     systems = list(systems)
-    votes = vote_candidates(systems)
+    sets = [candidate.edit_set for candidate in systems]
+    votes = [Candidate(bf_vote_set(sets, m), f"vote-{m}") for m in range(1, len(sets) + 1)]
     reward_cands = systems + votes if config.reward_set == "base+votes" else systems
     references = [candidate.edit_set for candidate in reward_cands]
+
+    def expected_reward(edit_set):
+        return bf_expected(config.reward.kind, references, edit_set, config.reward.beta)
+
     working = votes[-1].edit_set
     threshold = min(config.greedy_pool_threshold, len(systems))
     pool = [edit for edit in votes[threshold - 1].edit_set if edit not in working]
-    current = expected_reward(working, references, config.reward)
+    current = expected_reward(working)
     trace = []
     while pool:
         best_index = -1
@@ -259,7 +266,7 @@ def bf_greedy(systems, config) -> CombineResult:
             if any(bf_conflicts(edit, kept) for kept in working):
                 continue
             candidate_set = EditSet(working.source_len, working.edits + (edit,))
-            score = expected_reward(candidate_set, references, config.reward)
+            score = expected_reward(candidate_set)
             if score > best_score:
                 best_index, best_set, best_score = index, candidate_set, score
         if best_index < 0:
@@ -268,9 +275,7 @@ def bf_greedy(systems, config) -> CombineResult:
         working, current = best_set, best_score
         del pool[best_index]
     selection = tuple(systems + votes + [Candidate(working, "greedy")])
-    scores = tuple(
-        expected_reward(candidate.edit_set, references, config.reward) for candidate in selection
-    )
+    scores = tuple(expected_reward(candidate.edit_set) for candidate in selection)
     best = scores.index(max(scores))
     return CombineResult(selection[best], selection, scores, tuple(trace))
 

@@ -419,16 +419,10 @@ class TestScoreCommand:
         assert capsys.readouterr().out.strip() == "P 0.6667 R 0.6667 F0.5 0.6667"
 
     @pytest.mark.parametrize("hyp, calls", [("hyp0.txt", 1), ("sys0.m2", 2)])
-    def test_memos_are_shared_only_when_the_hypothesis_is_m2_too(
-        self, memos_seen, capsys, hyp, calls
-    ):
+    def test_each_m2_file_is_parsed_with_memos_of_its_own(self, memo_seen, capsys, hyp, calls):
         argv = ["score", str(MATRIX / "src.txt"), str(MATRIX / hyp), str(MATRIX / "ref.m2")]
         assert main(argv) == 0
-        assert len(memos_seen) == calls
-        if calls == 1:
-            assert memos_seen == [None]
-        else:
-            assert isinstance(memos_seen[0], list) and memos_seen[1] is memos_seen[0]
+        assert memo_seen == [None] * calls
 
     def test_fifo_hypothesis_is_read_once_without_a_manifest(self, tmp_path, capsys):
         argv = ["score", str(MATRIX / "src.txt"), str(MATRIX / "hyp0.txt"), str(MATRIX / "ref.m2")]
@@ -703,6 +697,32 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert "edit-mbr" in proc.stdout
+
+    @pytest.mark.parametrize("report", [False, True])
+    def test_standard_output_that_cannot_hold_a_token_is_a_data_error(self, tmp_path, report):
+        # Without -o the output goes to standard output; with --report (and
+        # -o) the report does, and here a label holds the token.
+        src = write(tmp_path / "src.txt", ["le café est"])
+        first = write(tmp_path / ("café.txt" if report else "h1.txt"), ["le café est bon"])
+        second = write(tmp_path / "h2.txt", ["le café"])
+        out = tmp_path / "out.txt"
+        extra = ["-o", str(out), "--report"] if report else []
+        proc = subprocess.run(
+            [sys.executable, "-m", "edit_mbr", "combine", str(src), str(first), str(second), *extra],
+            capture_output=True,
+            text=True,
+            encoding="utf-8",
+            env={
+                **os.environ,
+                "PYTHONPATH": str(Path(edit_mbr.__file__).resolve().parent.parent),
+                "PYTHONIOENCODING": "ascii",
+            },
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("edit-mbr: error: cannot write to standard output: ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert not out.exists()
 
     def test_import_does_not_load_concurrent_futures(self):
         src = str(Path(edit_mbr.__file__).resolve().parent.parent)

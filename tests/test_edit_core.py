@@ -317,6 +317,22 @@ class TestEditSet:
                 assert str(info.value) == f"conflicting edits: {pair[0]!r} vs {pair[1]!r}"
             assert min(outcomes.values()) > runs // 4, (longest, outcomes)
 
+    @pytest.mark.parametrize(
+        "items, bad",
+        [
+            (((2, 1, ()),), "(2, 1, ())"),  # a reversed span Edit would refuse
+            ((B, 3, (0, 1, ("x",))), "3"),  # one that cannot even be sorted
+            ([D, (0, 1, ("x",)), "a"], "(0, 1, ('x',))"),  # the first, in input order
+        ],
+    )
+    def test_rejects_items_that_are_not_edits(self, items, bad):
+        with pytest.raises(ValidationError, match=r"^edit set item is not an Edit: ") as info:
+            EditSet(4, items)
+        assert str(info.value).endswith(": " + bad)
+
+    def test_accepts_a_one_shot_iterable(self):
+        assert EditSet(4, iter((D, B))).edits == (B, D)
+
     def test_rejects_non_adjacent_conflict(self):
         # sorted neighbours are fine, the conflict is one apart
         inner = Edit(1, 1, ("q",))

@@ -247,7 +247,8 @@ def _system_files(rng: random.Random) -> tuple[list[str], list[str]]:
     entry, some broken, some with another annotator id; now and then a later
     file's ``S`` line holds another source (a token dropped or added) or
     the same tokens spaced another way, or the file holds an entry too many
-    or too few."""
+    or too few.  Any file's entry may also repeat an edit line the first
+    file gave another entry, whose source may be longer or shorter."""
     sources = [
         " ".join(f"t{rng.randrange(4)}" for _ in range(rng.randint(0, 6)))
         for _ in range(rng.randint(1, 5))
@@ -291,6 +292,8 @@ def _system_files(rng: random.Random) -> tuple[list[str], list[str]]:
             if number and lines and rng.random() < 0.1:  # the first line's span, another edit
                 fields = lines[0][2:].split("|||")
                 body.append(_line(fields[0], "R:NOUN", "w", fields[5]))
+            if rng.random() < 0.15:  # another entry's line, maybe past this source's end
+                body.append(rng.choice(rng.choice(first)))
             blocks.append("\n".join([s_line, *body]))
         if number and rng.random() < 0.1:  # an entry too many or too few
             if rng.random() < 0.5:
@@ -299,6 +302,28 @@ def _system_files(rng: random.Random) -> tuple[list[str], list[str]]:
                 blocks.pop()
         files.append("".join(block + "\n\n" for block in blocks))
     return sources, files
+
+
+def _lengths_by_line(files: list[str]) -> dict[str, set[int]]:
+    """Each edit line's text before its last ``|||``, with the token counts of
+    the ``S`` lines of the entries it occurs in, over all ``files``."""
+    lengths: dict[str, set[int]] = {}
+    for text in files:
+        length = 0
+        for line in bf_lines(text):
+            if line == "S" or line.startswith("S "):
+                length = len(line[2:].split())
+            elif line.startswith("A ") and not line.startswith("A -1 -1"):
+                lengths.setdefault(line.rpartition("|||")[0], set()).add(length)
+    return lengths
+
+
+def _span_end(key: str) -> int:
+    """The end of an edit line's span; -1 when the line has no such field."""
+    try:
+        return int(key[2:].split("|||")[0].split()[1])
+    except (IndexError, ValueError):
+        return -1
 
 
 def _bf_load_matching(text, sources, path, source_name):
@@ -315,8 +340,9 @@ def _bf_load_matching(text, sources, path, source_name):
 
 
 class TestSharedMemo:
-    """Files parsed against one call's sources share one memo per entry,
-    with the outcome of parsing each file alone and comparing its sources."""
+    """Files parsed with one memo check an edit line that any earlier entry
+    held only for its annotator id and range, with the outcome of parsing
+    each file alone and comparing its sources."""
 
     def write(self, tmp_path, sources, files):
         (tmp_path / "src.txt").write_text("".join(s + "\n" for s in sources), encoding="utf-8")
@@ -329,19 +355,29 @@ class TestSharedMemo:
     def test_each_file_matches_a_full_parse_and_source_check(self, tmp_path):
         rng = random.Random(11)
         kinds = {"ok": 0, "error": 0}
+        # Draws where an edit line recurs in entries of two source lengths,
+        # and where it also ends inside the longer source only.
+        recurs = past_end = 0
         for _ in range(400):
             source_lines, files = _system_files(rng)
             src, paths = self.write(tmp_path, source_lines, files)
             sources = load_sentences(src)
-            memos = [{} for _ in sources]
+            memo = {}
             # Every file is parsed, even after an earlier one failed: the memo
             # holds only lines that passed, so it must stay sound for the rest.
             for path, text in zip(paths, files):
                 want = _outcome(lambda t: _bf_load_matching(t, sources, path, src), text)
-                got = _outcome(lambda p: load_matching_m2(p, sources, src, memos), path)
+                got = _outcome(lambda p: load_matching_m2(p, sources, src, memo), path)
                 assert got == want, text
                 kinds["ok" if isinstance(want, list) else "error"] += 1
+            lengths = _lengths_by_line(files)
+            recurs += any(len(found) > 1 for found in lengths.values())
+            past_end += any(
+                min(found) < _span_end(key) <= max(found)
+                for key, found in lengths.items()
+            )
         assert min(kinds.values()) > 150
+        assert recurs > 100 and past_end > 40
 
     def test_load_parallel_matches_per_file_oracle(self, tmp_path):
         rng = random.Random(12)
@@ -373,14 +409,14 @@ class TestSharedMemo:
         text = f"S a b c\n{line}\n\nS x y\nA -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||0\n\n"
         src, paths = self.write(tmp_path, ["a b c", "x  y"], [text, text])
         sources = load_sentences(src)
-        memos = [{} for _ in sources]
-        first, second = (load_matching_m2(path, sources, src, memos) for path in paths)
+        memo = {}
+        first, second = (load_matching_m2(path, sources, src, memo) for path in paths)
         assert all(entry.source is source for entry, source in zip(first, sources))
         assert second[0].annotations[0].edits.edits[0] is first[0].annotations[0].edits.edits[0]
-        assert list(memos[0]) == [line.rpartition("|||")[0]]
+        assert list(memo) == [line.rpartition("|||")[0]]
 
     @pytest.mark.parametrize("s_line", ["S a  b c", "S a\tb c", "S a b c ", "S  a b c"])
-    def test_other_spacing_is_accepted_with_a_fresh_sentence_and_private_memo(
+    def test_other_spacing_is_accepted_with_a_fresh_sentence_and_the_shared_memo(
         self, tmp_path, s_line
     ):
         line = _line("1 2", "R:NOUN", "B")
@@ -388,12 +424,12 @@ class TestSharedMemo:
             tmp_path, ["a b c"], [f"S a b c\n{line}\n", f"{s_line}\n{line}\n"]
         )
         sources = load_sentences(src)
-        memos = [{} for _ in sources]
-        first, second = (load_matching_m2(path, sources, src, memos) for path in paths)
+        memo = {}
+        first, second = (load_matching_m2(path, sources, src, memo) for path in paths)
         assert second == first
         assert second[0].source == sources[0] and second[0].source is not sources[0]
         edit = second[0].annotations[0].edits.edits[0]
-        assert edit == B and edit is not first[0].annotations[0].edits.edits[0]
+        assert edit == B and edit is first[0].annotations[0].edits.edits[0]
 
     def test_later_short_source_checks_a_shared_line_in_full(self, tmp_path):
         line = _line("3 4", "UNK", "x")
@@ -401,10 +437,37 @@ class TestSharedMemo:
             tmp_path, ["a b c d"], [f"S a b c d\n{line}\n", f"S a b\n{_line('0 1')}\n{line}\n"]
         )
         sources = load_sentences(src)
-        memos = [{} for _ in sources]
-        load_matching_m2(paths[0], sources, src, memos)
+        memo = {}
+        load_matching_m2(paths[0], sources, src, memo)
         with pytest.raises(M2ParseError, match="^line 3: edit span 3 4 out of range"):
-            load_matching_m2(paths[1], sources, src, memos)
+            load_matching_m2(paths[1], sources, src, memo)
+
+    def test_later_shorter_entry_fails_a_shared_line_at_that_line(self, tmp_path):
+        # Both files' entries match their sources; the line the first file's
+        # longer entry held ends past the end of the second file's shorter one.
+        line = _line("3 4", "UNK", "x")
+        noop = _line("-1 -1", "noop", "-NONE-")
+        src, paths = self.write(
+            tmp_path,
+            ["a b c d", "a b"],
+            [f"S a b c d\n{line}\n\nS a b\n{noop}\n", f"S a b c d\n{noop}\n\nS a b\n{line}\n"],
+        )
+        message = "^line 5: edit span 3 4 out of range for source of 2 tokens$"
+        with pytest.raises(M2ParseError, match=message):
+            load_parallel(src, paths)
+        memo = {}
+        sources = load_sentences(src)
+        load_matching_m2(paths[0], sources, src, memo)
+        assert memo
+        with pytest.raises(M2ParseError, match=message):
+            load_matching_m2(paths[1], sources, src, memo)
+
+    def test_a_memo_hit_needs_a_source_line_first(self):
+        line = _line("1 2", "UNK", "B")
+        memo = {}
+        parse_m2(f"S a b c\n{line}\n", memo=memo)
+        with pytest.raises(M2ParseError, match="^line 1: annotation line before any source line$"):
+            parse_m2(f"{line}\n", memo=memo)
 
     def test_later_repeat_checks_its_own_annotator(self, tmp_path):
         line = _line("1 2", "UNK", "B")
@@ -412,24 +475,24 @@ class TestSharedMemo:
             tmp_path, ["a b c"], [f"S a b c\n{line}\n", f"S a b c\n{line[:-1]}x\n"]
         )
         sources = load_sentences(src)
-        memos = [{} for _ in sources]
-        load_matching_m2(paths[0], sources, src, memos)
+        memo = {}
+        load_matching_m2(paths[0], sources, src, memo)
         with pytest.raises(M2ParseError, match="^line 2: non-integer annotator id$"):
-            load_matching_m2(paths[1], sources, src, memos)
+            load_matching_m2(paths[1], sources, src, memo)
 
     def test_entries_past_the_sources_parse_before_the_count_check(self, tmp_path):
         entry = f"S a b c\n{_line('1 2', 'UNK', 'B')}\n\n"
         src, paths = self.write(tmp_path, ["a b c"], [entry, entry + entry + "S a\nA 0 3|||x"])
         sources = load_sentences(src)
-        memos = [{} for _ in sources]
-        load_matching_m2(paths[0], sources, src, memos)
+        memo = {}
+        load_matching_m2(paths[0], sources, src, memo)
         with pytest.raises(M2ParseError, match="^line 8: expected 6"):
-            load_matching_m2(paths[1], sources, src, memos)
+            load_matching_m2(paths[1], sources, src, memo)
         paths[1].write_text(entry + entry, encoding="utf-8")
         with pytest.raises(ValidationError, match="2 entries, but .* has 1 lines$"):
-            load_matching_m2(paths[1], sources, src, memos)
+            load_matching_m2(paths[1], sources, src, memo)
 
-    def test_memos_are_shared_only_between_two_or_more_m2_files(self, tmp_path, memos_seen):
+    def test_memos_are_shared_only_between_two_or_more_m2_files(self, tmp_path, memo_seen):
         text = f"S a b c\n{_line('1 2', 'UNK', 'B')}\n\n"
         src, paths = self.write(tmp_path, ["a b c"], [text, text, text])
         (tmp_path / "hyp.txt").write_text("a B c\n", encoding="utf-8")
@@ -439,19 +502,23 @@ class TestSharedMemo:
             (paths[:2], True),
             ([paths[0], tmp_path / "hyp.txt", paths[1], paths[2]], True),
         ]:
-            memos_seen.clear()
+            memo_seen.clear()
             load_parallel(src, hyp_paths)
-            assert len(memos_seen) == sum(path.suffix == ".m2" for path in hyp_paths)
+            assert len(memo_seen) == sum(path.suffix == ".m2" for path in hyp_paths)
             if shared:
-                first = memos_seen[0]
-                assert isinstance(first, list) and all(memos is first for memos in memos_seen)
+                first = memo_seen[0]
+                assert isinstance(first, dict) and all(memo is first for memo in memo_seen)
             else:
-                assert memos_seen == [None]
+                assert memo_seen == [None]
 
     def test_without_sources_every_entry_is_parsed_alone(self):
         text = f"S a b c\n{_line('1 2', 'UNK', 'B')}\n\nS a b c\n{_line('1 2', 'UNK', 'B')}\n"
         first, second = parse_m2(text)
         assert first == second and first.source is not second.source
+        edit = first.annotations[0].edits.edits[0]
+        assert edit is not second.annotations[0].edits.edits[0]
+        first, second = parse_m2(text, memo={})
+        assert second.annotations[0].edits.edits[0] is first.annotations[0].edits.edits[0]
 
 class TestEmit:
     def test_single_edit(self):
