@@ -17,12 +17,18 @@ replaced; every generator and oracle here uses them, not ``conflicts``.
 ``bf_parse_m2`` is the M2 parser from before annotation lines were memoized
 per entry: it splits and checks every line in full, on lines from
 ``bf_lines``, the line splitter of that time.  The ``memo_seen`` fixture
-records the memo each ``parse_m2`` call is handed.
+records the memo each ``parse_m2`` call is handed.  ``bf_combine`` is the
+whole ``combine`` command rebuilt from these oracles alone: it reads text
+systems with ``bf_lines`` and ``bf_edits``, ``.m2`` systems with
+``bf_parse_m2``, selects with ``bf_vote_set``, ``bf_expected`` and
+``bf_greedy``, and writes the output, report and trace by hand.
 """
 
 import itertools
+import json
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -373,3 +379,105 @@ def bf_parse_m2(text: str) -> list[M2Entry]:
             raise M2ParseError(f"line {line_no}: unrecognized line {line[:40]!r}")
     close()
     return entries
+
+
+def bf_splice(tokens, edit_set) -> list[str]:
+    """``tokens`` with each edit's span replaced, right to left."""
+    out = list(tokens)
+    for edit in sorted(edit_set, reverse=True):
+        out[edit.start : edit.end] = edit.replacement
+    return out
+
+
+def bf_format_m2(entries) -> str:
+    """M2 text for ``(tokens, {annotator: (edit_set, type)})`` entries, edits
+    in span order, an empty edit set as a ``noop`` line."""
+    blocks = []
+    for tokens, annotations in entries:
+        lines = [" ".join(["S", *tokens])]
+        for annotator, (edit_set, type_str) in annotations.items():
+            if not len(edit_set):
+                lines.append(f"A -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||{annotator}")
+            for edit in sorted(edit_set):
+                replacement = " ".join(edit.replacement) or "-NONE-"
+                lines.append(
+                    f"A {edit.start} {edit.end}|||{type_str}|||{replacement}"
+                    f"|||REQUIRED|||-NONE-|||{annotator}"
+                )
+        blocks.append("\n".join(lines) + "\n\n")
+    return "".join(blocks)
+
+
+def bf_combine(source_text, systems, method, kind, reward_set, beta, pool_votes, out_format):
+    """The output, ``--report`` lines and ``--trace`` JSONL of ``combine``.
+
+    ``systems`` holds ``(label, is_m2, text)`` per hypothesis file.  A text
+    system is aligned sentence by sentence with ``bf_edits``; an ``.m2``
+    system gives each entry's lowest-id annotator (no annotator: no edits).
+    ``mbr`` selects among the systems and ``mbr-vote`` adds ``bf_vote_set``'s
+    candidates, both by first maximum of ``bf_expected``; ``greedy`` is
+    ``bf_greedy``.
+    """
+    sources = [Sentence(tuple(line.split())) for line in bf_lines(source_text)]
+    columns = []
+    for label, is_m2, text in systems:
+        if is_m2:
+            entries = bf_parse_m2(text)
+            sets = [
+                e.annotations[0].edits if e.annotations else EditSet(len(e.source))
+                for e in entries
+            ]
+        else:
+            hyps = [Sentence(tuple(line.split())) for line in bf_lines(text)]
+            sets = [bf_edits(src, hyp) for src, hyp in zip(sources, hyps)]
+        columns.append([Candidate(edit_set, label) for edit_set in sets])
+    config = SimpleNamespace(
+        reward=SimpleNamespace(kind=kind, beta=beta),
+        reward_set=reward_set,
+        greedy_pool_threshold=pool_votes,
+    )
+    results = []
+    for cands in zip(*columns):
+        cands = list(cands)
+        if method == "greedy":
+            results.append(bf_greedy(cands, config))
+            continue
+        sets = [c.edit_set for c in cands]
+        votes = [Candidate(bf_vote_set(sets, m), f"vote-{m}") for m in range(1, len(sets) + 1)]
+        refs = sets + [v.edit_set for v in votes] if reward_set == "base+votes" else sets
+        selection = tuple(cands if method == "mbr" else cands + votes)
+        scores = tuple(bf_expected(kind, refs, c.edit_set, beta) for c in selection)
+        results.append(CombineResult(selection[scores.index(max(scores))], selection, scores))
+    chosen = [result.chosen.edit_set for result in results]
+    if out_format == "m2":
+        output = bf_format_m2(
+            (src.tokens, {0: (edit_set, "UNK")}) for src, edit_set in zip(sources, chosen)
+        )
+    else:
+        output = "".join(
+            " ".join(bf_splice(src.tokens, edits)) + "\n" for src, edits in zip(sources, chosen)
+        )
+    report = "".join(
+        f"sent {index} chosen={result.chosen.label} "
+        + " ".join(f"{c.label}={s:.6f}" for c, s in zip(result.selection, result.expected_rewards))
+        + "\n"
+        for index, result in enumerate(results)
+    )
+    trace = "".join(
+        json.dumps(
+            {
+                "edit": {
+                    "end": step.edit.end,
+                    "replacement": list(step.edit.replacement),
+                    "start": step.edit.start,
+                },
+                "reward_after": f"{step.reward_after:.6f}",
+                "reward_before": f"{step.reward_before:.6f}",
+                "sentence": index,
+            }
+        )
+        + "\n"
+        for index, result in enumerate(results)
+        for step in result.trace
+    )
+    return output, report, trace
