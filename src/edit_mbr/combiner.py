@@ -5,9 +5,9 @@ the configured reward against every member of the reward-expectation set
 (the base systems by default).  Selection returns the candidate maximizing
 that expectation; richer selection sets (vote candidates, the greedy result)
 can only raise the attainable maximum.
-``combine_sentence`` is the one path for every strategy; it builds a
-sentence's vote candidates once, from one conflict-resolution pass, and only
-when the strategy or the reward set uses them.
+``combine_sentence`` is the one path for every strategy.  It indexes a
+sentence's system edits once (``EditIndex``); the vote candidates, their
+masks, the reward table and the greedy pool all come from that one index.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from operator import add
 from .edit_core import (
     Candidate,
     Edit,
+    EditIndex,
     EditSet,
     ValidationError,
     intersect,  # traced by perfbench/child.py
@@ -110,13 +111,8 @@ def vote_candidates(systems: Sequence[Candidate]) -> list[Candidate]:
     ``vote-m`` its edits with at least m votes, and ``vote-N`` their
     intersection.
     """
-    if not systems:
-        raise ValueError("need at least one system")
-    sets = [candidate.edit_set for candidate in systems]
-    return [
-        Candidate(edit_set, f"vote-{m}")
-        for m, edit_set in enumerate(vote_sets(sets), start=1)
-    ]
+    sets = vote_sets([candidate.edit_set for candidate in systems])
+    return [Candidate(edit_set, f"vote-{m}") for m, edit_set in enumerate(sets, start=1)]
 
 
 def combine_sentence(systems: Sequence[Candidate], config: CombineConfig) -> CombineResult:
@@ -131,8 +127,13 @@ def combine_sentence(systems: Sequence[Candidate], config: CombineConfig) -> Com
     the expected reward the most (the first maximum), stopping when no
     insertion strictly improves it.
 
-    One ``RewardSet`` serves the whole sentence, greedy rounds and final
-    selection alike.  A round scores the whole pool in one
+    The sentence's system edit sets are indexed once (``EditIndex``).  The
+    vote candidates and their masks come from one ``resolve`` of that index,
+    and only when the strategy or the reward set uses them; one
+    ``RewardSet`` over the index (plus the vote masks under ``base+votes``)
+    serves greedy rounds and final selection alike.  The working set's mask
+    is the ``vote-N`` mask, and the pool is the threshold set's edits whose
+    bit lies outside it.  A round scores the whole pool in one
     ``expected_insertions`` call, from the working set's per-member overlaps
     and each pool edit's fixed 0/1 holder vector; the grown ``EditSet`` is
     built once.  The overlaps are those of the grown set itself, and the
@@ -140,22 +141,21 @@ def combine_sentence(systems: Sequence[Candidate], config: CombineConfig) -> Com
     scoring each grown set against each member.
     """
     systems = list(systems)
-    if not systems:
-        raise ValueError("need at least one system")
-    need_votes = config.strategy != "mbr" or config.reward_set == "base+votes"
-    votes = vote_candidates(systems) if need_votes else []
-    reward_cands = systems + votes if config.reward_set == "base+votes" else systems
+    index = EditIndex([candidate.edit_set for candidate in systems])
+    with_votes = config.reward_set == "base+votes"
+    resolved = index.resolve() if config.strategy != "mbr" or with_votes else []
+    votes = [Candidate(edit_set, f"vote-{m}") for m, (edit_set, _) in enumerate(resolved, start=1)]
+    table = RewardSet(index, [mask for _, mask in resolved] if with_votes else ())
     selection = systems if config.strategy == "mbr" else systems + votes
     if config.strategy != "greedy":
-        return mbr_select(selection, reward_cands, config)
+        return mbr_select(selection, table, config)
 
-    table = RewardSet([candidate.edit_set for candidate in reward_cands])
-    working = votes[-1].edit_set
+    working, working_mask = resolved[-1]
     threshold = min(config.greedy_pool_threshold, len(systems))
-    pool = [edit for edit in votes[threshold - 1].edit_set if edit not in working]
+    pool = [edit for edit in resolved[threshold - 1][0] if not table.bit(edit) & working_mask]
     holders = [table.overlaps(table.bit(edit)) for edit in pool]
     current = expected_reward(working, table, config.reward)
-    overlaps, size = table.overlaps(table.mask(working)), len(working)
+    overlaps, size = table.overlaps(working_mask), len(working)
     trace: list[GreedyStep] = []
     while pool:
         scores = table.expected_insertions(overlaps, size + 1, holders, config.reward)

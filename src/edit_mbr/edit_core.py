@@ -3,8 +3,11 @@
 A sentence is a whitespace-free token sequence.  An edit replaces the source
 span [start, end) with a replacement token sequence; an edit set is a
 canonical, conflict-free collection of edits describing one full correction
-of a sentence.  One conflict-resolution pass (``vote_sets``) yields the vote
-set at every threshold; ``vote_set`` and ``intersect`` are views of it.
+of a sentence.  A sentence's system edit sets are indexed once
+(``EditIndex``): one bit per distinct edit, one mask per system.  One
+conflict-resolution pass over that index (``EditIndex.resolve``) yields the
+vote set and its mask at every threshold; ``vote_sets``, ``vote_set`` and
+``intersect`` are views of it.
 """
 
 from __future__ import annotations
@@ -323,53 +326,83 @@ def extract_edits(source: Sentence, hypothesis: Sentence) -> EditSet:
     return EditSet(len(source), tuple(edits))
 
 
+class EditIndex:
+    """One sentence's system edit sets, indexed in one pass.
+
+    Every vote-set edit and every greedy pool edit is some system's edit, so
+    this index is the sentence's one universe of edits.  Walking the systems
+    in order, and each system's edits in span order, gives each distinct edit
+    a bit in first-proposal order (``bits``) and each system its mask
+    (``masks``, the OR of its edits' bits).  An edit's vote count is the
+    number of masks that hold its bit; ``resolve`` reads the counts off the
+    masks, so no edit is hashed again.
+    """
+
+    __slots__ = ("source_len", "bits", "masks")
+
+    def __init__(self, sets: Sequence[EditSet]) -> None:
+        if not sets:
+            raise ValueError("need at least one edit set")
+        self.source_len = sets[0].source_len
+        bits: dict[Edit, int] = {}
+        self.bits, self.masks = bits, []
+        for edit_set in sets:
+            check_source_len(self.source_len, edit_set)
+            mask = 0
+            for edit in edit_set.edits:
+                mask |= bits.setdefault(edit, 1 << len(bits))
+            self.masks.append(mask)
+
+    def resolve(self) -> list[tuple[EditSet, int]]:
+        """The vote set at every threshold m = 1..N with its mask, from one pass.
+
+        ``support[m]`` holds the bits of the edits with at least m votes, a
+        running count over the system masks.  Conflicts are resolved
+        greedily over the union: higher vote count wins, ties go to the edit
+        first proposed by the earliest system, then to span position, which
+        is bit order within one count.  Edits with at least m votes form a
+        prefix of that order, so each threshold's set is the resolved union
+        restricted to them, and its mask the OR of their bits; a threshold
+        that adds no edit reuses the set above it.  An edit every system
+        holds has N votes, and all such edits lie in the conflict-free first
+        set, so none is dropped: the set at m = N is the plain intersection.
+        """
+        n = len(self.masks)
+        support = [-1] + [0] * (n + 1)
+        for i, mask in enumerate(self.masks, start=1):
+            for m in range(i, 0, -1):
+                support[m] |= support[m - 1] & mask
+        edits = list(self.bits)
+        kept: list[Edit] = []
+        occupied = kept_mask = 0
+        by_threshold = [(EditSet(self.source_len), 0)]  # a threshold above N
+        for m in range(n, 0, -1):
+            group = support[m] & ~support[m + 1]
+            while group:
+                low = group & -group
+                group ^= low
+                edit = edits[low.bit_length() - 1]
+                span = _mask(edit)
+                if not occupied & span:
+                    kept.append(edit)
+                    occupied |= span
+                    kept_mask |= low
+            if kept_mask != by_threshold[-1][1]:
+                by_threshold.append((EditSet(self.source_len, tuple(kept)), kept_mask))
+            else:
+                by_threshold.append(by_threshold[-1])
+        return by_threshold[:0:-1]
+
+
 def intersect(sets: Sequence[EditSet]) -> EditSet:
     """Edits present in every set: the vote set at threshold N (see ``vote_sets``)."""
     return vote_sets(sets)[-1]
 
 
 def vote_sets(sets: Sequence[EditSet]) -> list[EditSet]:
-    """Conflict-resolved vote sets for every threshold m = 1..N, from one pass.
-
-    Conflicts are resolved greedily over the union: higher vote count wins,
-    ties go to the edit first proposed by the earliest system in ``sets``,
-    then to span position.  Edits with at least m votes form a prefix of that
-    order, so each threshold's set is the resolved union restricted to them.
-    An edit every set holds has N votes, and all such edits lie in the
-    conflict-free ``sets[0]``, so none is dropped: the set at m = N is the
-    plain intersection.
-    """
-    if not sets:
-        raise ValueError("need at least one edit set")
-    lengths = {s.source_len for s in sets}
-    if len(lengths) > 1:
-        raise ValidationError(f"edit sets disagree on source length: {sorted(lengths)}")
-    votes: dict[Edit, int] = {}
-    for edit_set in sets:
-        for edit in edit_set:
-            votes[edit] = votes.get(edit, 0) + 1
-    # The sort is stable, so edits with equal votes keep insertion order: the
-    # position of their first proposer, then span order within its edit set.
-    kept: list[Edit] = []
-    occupied = 0
-    for edit in sorted(votes, key=votes.__getitem__, reverse=True):
-        mask = _mask(edit)
-        if not occupied & mask:
-            kept.append(edit)
-            occupied |= mask
-    # ``kept`` is in vote order, so each threshold's edits are a prefix of it;
-    # a threshold that adds no edit reuses the set above it.
-    by_threshold: list[EditSet] = []
-    edit_set, size = None, 0
-    for m in range(len(sets), 0, -1):
-        grown = size
-        while grown < len(kept) and votes[kept[grown]] >= m:
-            grown += 1
-        if edit_set is None or grown > size:
-            edit_set, size = EditSet(sets[0].source_len, tuple(kept[:grown])), grown
-        by_threshold.append(edit_set)
-    by_threshold.reverse()
-    return by_threshold
+    """Conflict-resolved vote sets for every threshold m = 1..N (see
+    ``EditIndex.resolve``)."""
+    return [edit_set for edit_set, _ in EditIndex(sets).resolve()]
 
 
 def vote_set(sets: Sequence[EditSet], min_votes: int) -> EditSet:

@@ -1,4 +1,9 @@
-"""Edit-set reward functions and their uniform-average expectation."""
+"""Edit-set reward functions and their uniform-average expectation.
+
+``RewardSet`` scores a sentence's candidates against its members from
+bitmasks over the sentence's ``EditIndex``: a member's size is its mask's
+popcount, and a hypothesis's overlap with it the popcount of their AND.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +14,7 @@ from functools import lru_cache
 from itertools import repeat
 from operator import add, getitem
 
-from .edit_core import Edit, EditSet, check_source_len
+from .edit_core import Edit, EditIndex, EditSet, check_source_len
 
 REWARD_KINDS = ("recall", "precision", "f", "f-paper", "jaccard")
 
@@ -85,8 +90,11 @@ def _row(n_ref: int, n_hyp: int, kind: str, beta: float) -> tuple[float, ...]:
 class RewardSet:
     """One sentence's reward set as edit bitmasks and cached reward rows.
 
-    Each distinct edit of a member gets one bit; a member is held as its mask
-    and size, so a hypothesis shares ``popcount(h & r)`` edits with it.  A
+    The members are an ``EditIndex``'s systems plus any ``extra`` members
+    given as masks of that index's bits (the vote sets, whose edits are all
+    system edits), or a sequence of edit sets, indexed here.  Every member
+    edit has a bit, so a member is just its mask and its size the mask's
+    popcount; a hypothesis shares ``popcount(h & r)`` edits with it.  A
     hypothesis edit no member holds has no bit and counts only in its size.
     For each hypothesis size and config the table keeps one row per member
     (``_row``: that member's reward at every possible overlap), so a
@@ -96,40 +104,26 @@ class RewardSet:
     each member directly gives.
     """
 
-    __slots__ = ("source_len", "_bits", "_refs", "_sizes", "_rows", "_members", "_own")
+    __slots__ = ("source_len", "_bits", "_refs", "_rows")
 
-    def __init__(self, reward_set: Sequence[EditSet]) -> None:
-        if not reward_set:
-            raise ValueError("reward set must be non-empty")
-        self.source_len = reward_set[0].source_len
-        bits: dict[Edit, int] = {}
-        refs: list[int] = []
-        for ref in reward_set:
-            check_source_len(self.source_len, ref)
-            mask = 0
-            for edit in ref.edits:
-                mask |= bits.setdefault(edit, 1 << len(bits))
-            refs.append(mask)
-        self._bits = bits
-        self._refs = tuple(refs)
-        self._sizes = tuple(len(ref) for ref in reward_set)
+    def __init__(
+        self, reward_set: Sequence[EditSet] | EditIndex, extra: Iterable[int] = ()
+    ) -> None:
+        if not isinstance(reward_set, EditIndex):
+            if not reward_set:
+                raise ValueError("reward set must be non-empty")
+            reward_set = EditIndex(reward_set)
+        self.source_len = reward_set.source_len
+        self._bits = reward_set.bits
+        self._refs = (*reward_set.masks, *extra)
         self._rows: dict[tuple[int, str, float], list[tuple[float, ...]]] = {}
-        # Each member's mask by the member's id.  The table holds the members,
-        # so no other live object has one of these ids.
-        self._members = tuple(reward_set)
-        self._own = dict(zip(map(id, self._members), refs))
 
     def bit(self, edit: Edit) -> int:
         """The bit of ``edit``, or 0 when no member holds it."""
         return self._bits.get(edit, 0)
 
     def mask(self, edit_set: EditSet) -> int:
-        """The bits of the edits in ``edit_set`` that some member holds.
-
-        A member's own mask, built with the table, is returned as it is."""
-        own = self._own.get(id(edit_set))
-        if own is not None:
-            return own
+        """The bits of the edits in ``edit_set`` that some member holds."""
         check_source_len(self.source_len, edit_set)
         # Distinct edits have distinct bits, so the sum is the OR.
         return sum(map(self._bits.get, edit_set.edits, repeat(0)))
@@ -143,7 +137,7 @@ class RewardSet:
         rows = self._rows.get(key)
         if rows is None:
             rows = self._rows[key] = [
-                _row(n_ref, n_hyp, config.kind, config.beta) for n_ref in self._sizes
+                _row(ref.bit_count(), n_hyp, config.kind, config.beta) for ref in self._refs
             ]
         return rows
 

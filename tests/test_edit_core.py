@@ -19,9 +19,11 @@ from conftest import (
     random_edit,
     random_edit_set,
     random_sentence,
+    random_systems,
 )
 from edit_mbr.edit_core import (
     Edit,
+    EditIndex,
     EditSet,
     Sentence,
     ValidationError,
@@ -559,3 +561,63 @@ class TestVotesAndAlgebra:
                 assert all(edit in member for member in sets)
             for edit in union:
                 assert sum(edit in s for s in sets) >= 1
+
+
+def index_instances(n, seed):
+    """System edit sets from a shared pool (shared votes and conflicts), with
+    every fourth draw repeating a system and every third adding two clashing
+    insertions at one point to different systems."""
+    rng = random.Random(seed)
+    for draw in range(n):
+        source_len = rng.randint(0, 8)
+        systems = random_systems(
+            rng, source_len=source_len, n_systems=rng.randint(1, 6), pool_size=rng.randint(0, 8)
+        )
+        sets = [candidate.edit_set for candidate in systems]
+        if draw % 4 == 0:
+            sets.append(rng.choice(sets))
+        if draw % 3 == 0 and len(sets) > 1:
+            point = rng.randint(0, source_len)
+            for edit_set, word in zip(rng.sample(range(len(sets)), 2), ("x", "y")):
+                insertion = Edit(point, point, (word,))
+                kept = [e for e in sets[edit_set] if not bf_conflicts(e, insertion)]
+                sets[edit_set] = EditSet(source_len, (*kept, insertion))
+        yield sets
+
+
+class TestEditIndex:
+    def test_bits_votes_and_masks_match_brute_force(self):
+        for sets in index_instances(400, seed=71):
+            index = EditIndex(sets)
+            # Distinct edits in first-proposal order: system order, then span order.
+            proposed = list(dict.fromkeys(edit for edit_set in sets for edit in sorted(edit_set)))
+            assert list(index.bits.items()) == [(e, 1 << i) for i, e in enumerate(proposed)]
+            assert index.source_len == sets[0].source_len
+            assert list(index.masks) == [
+                sum(index.bits[edit] for edit in edit_set) for edit_set in sets
+            ]
+            for edit, bit in index.bits.items():
+                votes = sum(edit in edit_set for edit_set in sets)
+                assert sum(bool(mask & bit) for mask in index.masks) == votes
+
+    def test_every_threshold_matches_the_oracle_with_its_mask(self):
+        reused = 0
+        for sets in index_instances(400, seed=73):
+            index = EditIndex(sets)
+            resolved = index.resolve()
+            assert len(resolved) == len(sets)
+            for m, (edit_set, mask) in enumerate(resolved, start=1):
+                want = bf_vote_set(sets, m)
+                assert edit_set == want
+                assert mask == sum(index.bits[edit] for edit in want)
+                if m < len(sets) and want == bf_vote_set(sets, m + 1):
+                    assert edit_set is resolved[m][0]
+                    reused += 1
+            assert [edit_set for edit_set, _ in resolved] == vote_sets(sets)
+        assert reused >= 100
+
+    def test_source_length_mismatch_names_both_lengths(self):
+        with pytest.raises(ValidationError, match="disagree on source length: 3 vs 5"):
+            EditIndex([es(B), EditSet(5, (B,))])
+        with pytest.raises(ValueError, match="need at least one edit set"):
+            EditIndex([])

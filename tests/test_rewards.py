@@ -7,8 +7,8 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import bf_conflicts, bf_expected, bf_reward, random_edit_set
-from edit_mbr.edit_core import Edit, EditSet, ValidationError
+from conftest import bf_conflicts, bf_expected, bf_reward, bf_vote_set, random_edit_set
+from edit_mbr.edit_core import Edit, EditIndex, EditSet, ValidationError
 from edit_mbr.rewards import (
     BETA_MAX,
     BETA_MIN,
@@ -256,8 +256,8 @@ class TestRewardSet:
                 assert reward(refs[0], hyp, config) == expected_reward(hyp, [refs[0]], config)
 
     def test_member_and_an_equal_copy_score_alike(self):
-        # A member's mask is the one built with the table; an equal but
-        # distinct edit set is masked edit by edit, to the same bits.
+        # Every edit set, member or not, is masked edit by edit through the
+        # table's bits, so an equal but distinct copy gets the member's bits.
         for refs, _ in self.instances(200, seed=47):
             table = RewardSet(refs)
             for member in refs:
@@ -269,6 +269,24 @@ class TestRewardSet:
                     assert expected_reward(copy, table, config) == expected_reward(
                         member, table, config
                     )
+
+    def test_index_plus_vote_masks_scores_as_the_listed_members(self):
+        # Systems and their vote sets as extra members: built from the index
+        # and the vote masks, from the edit sets, and scored by brute force.
+        for refs, hyp in self.instances(200, seed=61):
+            index = EditIndex(refs)
+            resolved = index.resolve()
+            votes = [edit_set for edit_set, _ in resolved]
+            assert votes == [bf_vote_set(refs, m) for m in range(1, len(refs) + 1)]
+            table = RewardSet(index, [mask for _, mask in resolved])
+            listed = RewardSet(refs + votes)
+            members = [ref.edits for ref in refs + votes]
+            for candidate in [hyp, *votes]:
+                for kind in REWARD_KINDS:
+                    config = RewardConfig(kind=kind, beta=2.0)
+                    got = expected_reward(candidate, table, config)
+                    assert got == expected_reward(candidate, listed, config)
+                    assert got == bf_expected(kind, members, candidate.edits, 2.0)
 
     def test_edit_outside_every_member_counts_only_in_size(self):
         table = RewardSet([es(B)])
