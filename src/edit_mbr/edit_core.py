@@ -55,6 +55,8 @@ class Sentence:
     tokens: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        if isinstance(self.tokens, str):
+            raise ValidationError(f"tokens is a str, not a token sequence: {self.tokens!r}")
         object.__setattr__(self, "tokens", tuple(self.tokens))
         _check_tokens(self.tokens)
 
@@ -88,7 +90,11 @@ class Edit(tuple):
     __slots__ = ()
 
     def __new__(cls, start: int, end: int, replacement: Iterable[str] = ()) -> Edit:
+        if isinstance(replacement, str):
+            raise ValidationError(f"replacement is a str, not a token sequence: {replacement!r}")
         replacement = tuple(replacement)
+        if type(start) is not int or type(end) is not int:  # refuses a bool too
+            raise ValidationError(f"edit positions must be ints, got {start!r} and {end!r}")
         if start < 0 or end < start:
             raise ValidationError(f"bad edit span [{start}, {end})")
         if start == end and not replacement:
@@ -154,6 +160,8 @@ class EditSet:
         ``Edit``'s checks, so it is refused before anything is sorted.
         """
         source_len = self.source_len
+        if type(source_len) is not int:  # refuses a bool too
+            raise ValidationError(f"source_len must be an int, got {source_len!r}")
         if source_len < 0:
             raise ValidationError("source_len must be >= 0")
         edits = tuple(self.edits)

@@ -106,6 +106,12 @@ class TestSentence:
         with pytest.raises(ValidationError):
             Sentence(("a b",))
 
+    def test_rejects_a_str_of_tokens(self):
+        with pytest.raises(ValidationError) as info:
+            Sentence("abc")
+        assert str(info.value) == "tokens is a str, not a token sequence: 'abc'"
+        assert Sentence(["abc"]).tokens == ("abc",)
+
     def test_rejects_empty_token(self):
         with pytest.raises(ValidationError):
             Sentence(("",))
@@ -165,6 +171,22 @@ class TestEditValidation:
     def test_rejects_whitespace_replacement_token(self):
         with pytest.raises(ValidationError):
             Edit(0, 1, ("a b",))
+
+    @pytest.mark.parametrize(
+        "start, end, shown",
+        [(0.5, 1, "0.5 and 1"), (0, 1.0, "0 and 1.0"), (True, 1, "True and 1"),
+         (0, False, "0 and False"), ("0", 1, "'0' and 1")],
+    )
+    def test_rejects_positions_that_are_not_ints(self, start, end, shown):
+        with pytest.raises(ValidationError) as info:
+            Edit(start, end, ("x",))
+        assert str(info.value) == f"edit positions must be ints, got {shown}"
+
+    def test_rejects_a_str_replacement(self):
+        with pytest.raises(ValidationError) as info:
+            Edit(0, 1, "xy")
+        assert str(info.value) == "replacement is a str, not a token sequence: 'xy'"
+        assert Edit(0, 1, ["xy"]).replacement == ("xy",)
 
 
 class TestEditValue:
@@ -331,6 +353,12 @@ class TestEditSet:
         with pytest.raises(ValidationError, match=r"^edit set item is not an Edit: ") as info:
             EditSet(4, items)
         assert str(info.value).endswith(": " + bad)
+
+    @pytest.mark.parametrize("source_len", [2.0, True, False, "3", None])
+    def test_rejects_a_source_length_that_is_not_an_int(self, source_len):
+        with pytest.raises(ValidationError) as info:
+            EditSet(source_len, (B,))
+        assert str(info.value) == f"source_len must be an int, got {source_len!r}"
 
     def test_accepts_a_one_shot_iterable(self):
         assert EditSet(4, iter((D, B))).edits == (B, D)
