@@ -3,7 +3,8 @@
 A name is read when it appears as a loaded ``Name`` (an attribute chain's
 base counts).  Names re-exported through ``__all__`` and imports on a line
 marked ``# traced by perfbench/child.py`` (kept so the benchmark can replace
-them by name) are exempt.
+them by name) are exempt, and every such mark must name an attribute of
+its module that ``perfbench/child.py`` replaces.
 """
 
 import ast
@@ -39,6 +40,20 @@ def unread_imports(text: str) -> list[tuple[int, str]]:
     ]
 
 
+def patched_names() -> set[tuple[str, str]]:
+    """(module, name) of every attribute ``perfbench/child.py`` replaces: the
+    ``(module, "name", wrapper)`` triples its ``_wrappers`` returns."""
+    tree = ast.parse((ROOT / "perfbench" / "child.py").read_text(encoding="utf-8"))
+    return {
+        (node.elts[0].id, node.elts[1].value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Tuple)
+        and len(node.elts) == 3
+        and isinstance(node.elts[0], ast.Name)
+        and isinstance(node.elts[1], ast.Constant)
+    }
+
+
 def python_files() -> list[Path]:
     return sorted(path for top in ("src", "tests") for path in (ROOT / top).rglob("*.py"))
 
@@ -69,3 +84,16 @@ def test_scan_reports_unread_names_and_honours_the_exemptions():
         "print(sys.argv, osp)\n"
     )
     assert unread_imports(text) == [(2, "os"), (7, "pi"), (9, "dumps")]
+
+
+def test_every_traced_mark_names_an_attribute_the_benchmark_patches():
+    # A mark the benchmark no longer needs would hide an unread import.
+    patched = patched_names()
+    assert ("combiner", "vote_set") in patched and ("cli", "parse_m2") in patched
+    marked = [
+        (path.stem, line.split(",")[0].strip())
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if line.endswith(TRACED)
+    ]
+    assert marked and [name for name in marked if name not in patched] == []
