@@ -55,9 +55,10 @@ class Sentence:
     tokens: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if isinstance(self.tokens, str):
-            raise ValidationError(f"tokens is a str, not a token sequence: {self.tokens!r}")
-        object.__setattr__(self, "tokens", tuple(self.tokens))
+        if type(self.tokens) is not tuple:
+            if isinstance(self.tokens, str):
+                raise ValidationError(f"tokens is a str, not a token sequence: {self.tokens!r}")
+            object.__setattr__(self, "tokens", tuple(self.tokens))
         _check_tokens(self.tokens)
 
     def __len__(self) -> int:
@@ -90,9 +91,12 @@ class Edit(tuple):
     __slots__ = ()
 
     def __new__(cls, start: int, end: int, replacement: Iterable[str] = ()) -> Edit:
-        if isinstance(replacement, str):
-            raise ValidationError(f"replacement is a str, not a token sequence: {replacement!r}")
-        replacement = tuple(replacement)
+        if type(replacement) is not tuple:
+            if isinstance(replacement, str):
+                raise ValidationError(
+                    f"replacement is a str, not a token sequence: {replacement!r}"
+                )
+            replacement = tuple(replacement)
         if type(start) is not int or type(end) is not int:  # refuses a bool too
             raise ValidationError(f"edit positions must be ints, got {start!r} and {end!r}")
         if start < 0 or end < start:
