@@ -85,7 +85,9 @@ class Edit(tuple):
     ``start == end`` is a pure insertion before token ``start``; an empty
     replacement over a non-empty span is a deletion.  An edit is the tuple
     ``(start, end, replacement)``: hashing, equality and ordering are the
-    tuple's own, so edits sort by span, then replacement.
+    tuple's own, so edits sort by span, then replacement.  Positions must be
+    ``int`` (a ``bool`` is refused) and the replacement a sequence of tokens,
+    not one ``str``.
     """
 
     __slots__ = ()
