@@ -24,7 +24,6 @@ from .edit_core import (
     ValidationError,
     intersect,  # traced by perfbench/child.py
     vote_set,  # traced by perfbench/child.py
-    vote_sets,
 )
 from .m2_io import CorpusEntry
 from .rewards import RewardConfig, RewardSet, expected_reward
@@ -40,7 +39,8 @@ class CombineConfig:
     ``reward_set`` picks the candidates the expected reward is averaged over:
     the base systems alone (default) or base systems plus vote candidates.
     ``greedy_pool_threshold`` is the vote count an edit needs to enter the
-    greedy insertion pool (clamped to the system count at use).
+    greedy insertion pool: an ``int`` >= 1 (a ``bool`` is refused), clamped
+    to the system count at use.
     """
 
     strategy: str = "mbr"
@@ -54,6 +54,10 @@ class CombineConfig:
         if self.reward_set not in REWARD_SET_SPECS:
             raise ValueError(
                 f"unknown reward set {self.reward_set!r}; expected one of {REWARD_SET_SPECS}"
+            )
+        if type(self.greedy_pool_threshold) is not int:  # refuses a bool too
+            raise ValueError(
+                f"greedy_pool_threshold must be an int, got {self.greedy_pool_threshold!r}"
             )
         if self.greedy_pool_threshold < 1:
             raise ValueError("greedy_pool_threshold must be >= 1")
@@ -85,8 +89,9 @@ def mbr_select(
 ) -> CombineResult:
     """Pick the candidate with the highest expected reward against ``reward_set``.
 
-    ``reward_set`` is the candidates to average over, or their ``RewardSet``
-    when the caller has built one already.  The first candidate attaining the
+    ``reward_set`` is the candidates to average over, indexed here into a
+    ``RewardSet``, or that ``RewardSet`` when the caller has built one
+    already.  The first candidate attaining the
     maximum wins, so the selection order is the tie-break policy (base
     systems in input order, then vote candidates by threshold, then greedy).
     """
@@ -96,7 +101,7 @@ def mbr_select(
     if isinstance(reward_set, RewardSet):
         table = reward_set
     else:
-        table = RewardSet([candidate.edit_set for candidate in reward_set])
+        table = RewardSet(EditIndex([candidate.edit_set for candidate in reward_set]))
     scores = tuple(
         expected_reward(candidate.edit_set, table, config.reward) for candidate in selection
     )
@@ -109,10 +114,10 @@ def vote_candidates(systems: Sequence[Candidate]) -> list[Candidate]:
 
     ``vote-1`` is the conflict-resolved union of all system edit sets,
     ``vote-m`` its edits with at least m votes, and ``vote-N`` their
-    intersection.
+    intersection (see ``EditIndex.resolve``).
     """
-    sets = vote_sets([candidate.edit_set for candidate in systems])
-    return [Candidate(edit_set, f"vote-{m}") for m, edit_set in enumerate(sets, start=1)]
+    resolved = EditIndex([candidate.edit_set for candidate in systems]).resolve()
+    return [Candidate(edit_set, f"vote-{m}") for m, (edit_set, _) in enumerate(resolved, start=1)]
 
 
 def combine_sentence(systems: Sequence[Candidate], config: CombineConfig) -> CombineResult:

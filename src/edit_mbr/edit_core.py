@@ -6,8 +6,8 @@ canonical, conflict-free collection of edits describing one full correction
 of a sentence.  A sentence's system edit sets are indexed once
 (``EditIndex``): one bit per distinct edit, one mask per system.  One
 conflict-resolution pass over that index (``EditIndex.resolve``) yields the
-vote set and its mask at every threshold; ``vote_sets``, ``vote_set`` and
-``intersect`` are views of it.
+vote set and its mask at every threshold; ``vote_set`` and ``intersect`` are
+views of it.
 """
 
 from __future__ import annotations
@@ -48,6 +48,18 @@ def _check_tokens(tokens: tuple[str, ...]) -> None:
         _check_token(token)
 
 
+def _token_tuple(tokens, name: str) -> tuple[str, ...]:
+    """A token sequence that is not a tuple, as one; ``ValidationError`` for a
+    bare ``str`` (which would split into characters) or a non-iterable."""
+    if isinstance(tokens, str):
+        raise ValidationError(f"{name} is a str, not a token sequence: {tokens!r}")
+    try:
+        iterator = iter(tokens)
+    except TypeError:
+        raise ValidationError(f"{name} is not a token sequence: {tokens!r}") from None
+    return tuple(iterator)
+
+
 @dataclass(frozen=True, slots=True)
 class Sentence:
     """An immutable sequence of whitespace-free tokens."""
@@ -56,9 +68,7 @@ class Sentence:
 
     def __post_init__(self) -> None:
         if type(self.tokens) is not tuple:
-            if isinstance(self.tokens, str):
-                raise ValidationError(f"tokens is a str, not a token sequence: {self.tokens!r}")
-            object.__setattr__(self, "tokens", tuple(self.tokens))
+            object.__setattr__(self, "tokens", _token_tuple(self.tokens, "tokens"))
         _check_tokens(self.tokens)
 
     def __len__(self) -> int:
@@ -86,19 +96,15 @@ class Edit(tuple):
     replacement over a non-empty span is a deletion.  An edit is the tuple
     ``(start, end, replacement)``: hashing, equality and ordering are the
     tuple's own, so edits sort by span, then replacement.  Positions must be
-    ``int`` (a ``bool`` is refused) and the replacement a sequence of tokens,
-    not one ``str``.
+    ``int`` (a ``bool`` is refused) and the replacement an iterable of
+    tokens, not one ``str``.
     """
 
     __slots__ = ()
 
     def __new__(cls, start: int, end: int, replacement: Iterable[str] = ()) -> Edit:
         if type(replacement) is not tuple:
-            if isinstance(replacement, str):
-                raise ValidationError(
-                    f"replacement is a str, not a token sequence: {replacement!r}"
-                )
-            replacement = tuple(replacement)
+            replacement = _token_tuple(replacement, "replacement")
         if type(start) is not int or type(end) is not int:  # refuses a bool too
             raise ValidationError(f"edit positions must be ints, got {start!r} and {end!r}")
         if start < 0 or end < start:
@@ -220,8 +226,8 @@ class Candidate:
     label: str
 
     def __post_init__(self) -> None:
-        if not self.label:
-            raise ValidationError("candidate label must be non-empty")
+        if not isinstance(self.label, str) or not self.label:
+            raise ValidationError(f"candidate label must be a non-empty str, got {self.label!r}")
 
 
 def apply_edits(source: Sentence, edits: EditSet) -> Sentence:
@@ -409,20 +415,16 @@ class EditIndex:
 
 
 def intersect(sets: Sequence[EditSet]) -> EditSet:
-    """Edits present in every set: the vote set at threshold N (see ``vote_sets``)."""
-    return vote_sets(sets)[-1]
-
-
-def vote_sets(sets: Sequence[EditSet]) -> list[EditSet]:
-    """Conflict-resolved vote sets for every threshold m = 1..N (see
+    """Edits present in every set: the vote set at threshold N (see
     ``EditIndex.resolve``)."""
-    return [edit_set for edit_set, _ in EditIndex(sets).resolve()]
+    return EditIndex(sets).resolve()[-1][0]
 
 
 def vote_set(sets: Sequence[EditSet], min_votes: int) -> EditSet:
     """Conflict-resolved set of edits proposed by at least ``min_votes`` sets
-    (see ``vote_sets``); empty when ``min_votes`` exceeds the number of sets."""
+    (see ``EditIndex.resolve``); empty when ``min_votes`` exceeds the number
+    of sets."""
     if min_votes < 1:
         raise ValueError("min_votes must be >= 1")
-    by_threshold = vote_sets(sets)
-    return by_threshold[min_votes - 1] if min_votes <= len(sets) else EditSet(sets[0].source_len)
+    by_threshold = EditIndex(sets).resolve()
+    return by_threshold[min_votes - 1][0] if min_votes <= len(sets) else EditSet(sets[0].source_len)

@@ -70,8 +70,8 @@ class Annotation:
     types: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.annotator < 0:
-            raise ValidationError(f"annotator id must be >= 0, got {self.annotator}")
+        if type(self.annotator) is not int or self.annotator < 0:  # refuses a bool too
+            raise ValidationError(f"annotator id must be an int >= 0, got {self.annotator!r}")
         if not self.types and self.edits.edits:
             object.__setattr__(self, "types", ("UNK",) * len(self.edits))
         object.__setattr__(self, "types", tuple(self.types))

@@ -92,11 +92,12 @@ class RewardSet:
 
     The members are an ``EditIndex``'s systems plus any ``extra`` members
     given as masks of that index's bits (the vote sets, whose edits are all
-    system edits), or a sequence of edit sets, indexed here.  Every member
-    edit has a bit, so a member is just its mask and its size the mask's
-    popcount; a hypothesis shares ``popcount(h & r)`` edits with it.  A
-    hypothesis edit no member holds has no bit and counts only in its size.
-    For each hypothesis size and config the table keeps one row per member
+    system edits).  The index is the one place edits get bits: a caller with
+    a list of edit sets indexes it first (``RewardSet(EditIndex(sets))``).
+    Every member edit has a bit, so a member is just its mask and its size
+    the mask's popcount; a hypothesis shares ``popcount(h & r)`` edits with
+    it.  A hypothesis edit no member holds has no bit and counts only in its
+    size.  For each hypothesis size and config the table keeps one row per member
     (``_row``: that member's reward at every possible overlap), so a
     candidate is scored by indexing rows with overlaps, all in C.  A row
     entry is the ``_score`` value for the same arguments, and ``math.fsum``
@@ -106,16 +107,10 @@ class RewardSet:
 
     __slots__ = ("source_len", "_bits", "_refs", "_rows")
 
-    def __init__(
-        self, reward_set: Sequence[EditSet] | EditIndex, extra: Iterable[int] = ()
-    ) -> None:
-        if not isinstance(reward_set, EditIndex):
-            if not reward_set:
-                raise ValueError("reward set must be non-empty")
-            reward_set = EditIndex(reward_set)
-        self.source_len = reward_set.source_len
-        self._bits = reward_set.bits
-        self._refs = (*reward_set.masks, *extra)
+    def __init__(self, index: EditIndex, extra: Iterable[int] = ()) -> None:
+        self.source_len = index.source_len
+        self._bits = index.bits
+        self._refs = (*index.masks, *extra)
         self._rows: dict[tuple[int, str, float], list[tuple[float, ...]]] = {}
 
     def bit(self, edit: Edit) -> int:
@@ -186,7 +181,7 @@ def expected_reward(
     own term is then the kind's perfect-match value: 1.0, except that a
     non-empty ``f-paper`` match gives (1 + beta^2) / (1 + beta).  ``math.fsum``
     keeps the mean independent of member order.  A sequence of edit sets is
-    first turned into a ``RewardSet``; passing one scores against it directly.
+    first indexed into a ``RewardSet``; passing one scores against it directly.
     """
-    table = reward_set if isinstance(reward_set, RewardSet) else RewardSet(reward_set)
+    table = reward_set if isinstance(reward_set, RewardSet) else RewardSet(EditIndex(reward_set))
     return table.expected(table.mask(hyp_edits), len(hyp_edits), config)

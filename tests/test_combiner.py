@@ -23,6 +23,7 @@ from edit_mbr.combiner import (
 from edit_mbr.edit_core import (
     Candidate,
     Edit,
+    EditIndex,
     EditSet,
     ValidationError,
     conflicts,
@@ -108,7 +109,7 @@ class TestMbrSelect:
         for _ in range(200):
             systems = random_systems(rng)
             selection = systems + vote_candidates(systems)
-            table = RewardSet([candidate.edit_set for candidate in systems])
+            table = RewardSet(EditIndex([candidate.edit_set for candidate in systems]))
             for kind in REWARD_KINDS:
                 config = config_for(kind)
                 assert mbr_select(selection, table, config) == mbr_select(
@@ -422,3 +423,9 @@ class TestCombineConfig:
     def test_rejects_bad_threshold(self):
         with pytest.raises(ValueError):
             CombineConfig(greedy_pool_threshold=0)
+
+    @pytest.mark.parametrize("threshold", [1.5, 2.0, True, "2"])
+    def test_rejects_a_threshold_that_is_not_an_int(self, threshold):
+        with pytest.raises(ValueError) as info:
+            CombineConfig(strategy="greedy", greedy_pool_threshold=threshold)
+        assert str(info.value) == f"greedy_pool_threshold must be an int, got {threshold!r}"

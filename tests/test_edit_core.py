@@ -22,6 +22,7 @@ from conftest import (
     random_systems,
 )
 from edit_mbr.edit_core import (
+    Candidate,
     Edit,
     EditIndex,
     EditSet,
@@ -33,7 +34,6 @@ from edit_mbr.edit_core import (
     intersect,
     tokenize,
     vote_set,
-    vote_sets,
 )
 
 B = Edit(1, 2, ("B",))
@@ -112,6 +112,12 @@ class TestSentence:
         assert str(info.value) == "tokens is a str, not a token sequence: 'abc'"
         assert Sentence(["abc"]).tokens == ("abc",)
 
+    @pytest.mark.parametrize("tokens", [5, None, 1.5])
+    def test_rejects_tokens_that_are_not_iterable(self, tokens):
+        with pytest.raises(ValidationError) as info:
+            Sentence(tokens)
+        assert str(info.value) == f"tokens is not a token sequence: {tokens!r}"
+
     def test_rejects_empty_token(self):
         with pytest.raises(ValidationError):
             Sentence(("",))
@@ -188,6 +194,12 @@ class TestEditValidation:
         assert str(info.value) == "replacement is a str, not a token sequence: 'xy'"
         assert Edit(0, 1, ["xy"]).replacement == ("xy",)
 
+    @pytest.mark.parametrize("replacement", [5, None, 1.5])
+    def test_rejects_a_replacement_that_is_not_iterable(self, replacement):
+        with pytest.raises(ValidationError) as info:
+            Edit(0, 1, replacement)
+        assert str(info.value) == f"replacement is not a token sequence: {replacement!r}"
+
 
 class TestEditValue:
     def test_is_a_slotted_tuple(self):
@@ -226,7 +238,7 @@ class TestEditValue:
     @pytest.mark.parametrize(
         "args, error, message",
         [
-            ((-1, 0, 5), TypeError, "'int' object is not iterable"),
+            ((-1, 0, 5), ValidationError, "replacement is not a token sequence: 5"),
             ((-1, 0, ("a b",)), ValidationError, "bad edit span [-1, 0)"),
             ((2, 1, ()), ValidationError, "bad edit span [2, 1)"),
             ((1, 1, ()), ValidationError, "zero-width edit with empty replacement is a no-op"),
@@ -564,7 +576,7 @@ class TestVotesAndAlgebra:
     def test_threshold_adding_no_edit_reuses_the_set_above(self):
         # B has 3 votes, D 1: thresholds 2 and 3 hold B alone, 4 nothing.
         sets = [es(B, D), es(B), es(B), es()]
-        by_threshold = vote_sets(sets)
+        by_threshold = [edit_set for edit_set, _ in EditIndex(sets).resolve()]
         assert by_threshold == [es(B, D), es(B), es(B), es()]
         assert by_threshold[1] is by_threshold[2]
         assert len({id(edit_set) for edit_set in by_threshold}) == 3
@@ -613,6 +625,14 @@ def index_instances(n, seed):
         yield sets
 
 
+class TestCandidate:
+    @pytest.mark.parametrize("label", ["", 5, None, b"sys", ("sys",)])
+    def test_label_must_be_a_non_empty_str(self, label):
+        with pytest.raises(ValidationError) as info:
+            Candidate(es(B), label)
+        assert str(info.value) == f"candidate label must be a non-empty str, got {label!r}"
+
+
 class TestEditIndex:
     def test_bits_votes_and_masks_match_brute_force(self):
         for sets in index_instances(400, seed=71):
@@ -641,7 +661,9 @@ class TestEditIndex:
                 if m < len(sets) and want == bf_vote_set(sets, m + 1):
                     assert edit_set is resolved[m][0]
                     reused += 1
-            assert [edit_set for edit_set, _ in resolved] == vote_sets(sets)
+            views = [vote_set(sets, m) for m in range(1, len(sets) + 1)]
+            assert [edit_set for edit_set, _ in resolved] == views
+            assert views[-1] == intersect(sets)
         assert reused >= 100
 
     def test_source_length_mismatch_names_both_lengths(self):

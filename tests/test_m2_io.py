@@ -598,6 +598,13 @@ class TestAnnotationTypes:
         with pytest.raises(ValidationError):
             Annotation(0, EditSet(3, (B,)), ("UNK", "UNK"))
 
+    @pytest.mark.parametrize("annotator", [-1, 0.5, True, "0", 1.0])
+    def test_annotator_id_must_be_an_int_of_at_least_0(self, annotator):
+        # emit_m2 would write such an id as it prints, and parse_m2 refuse it.
+        with pytest.raises(ValidationError) as info:
+            Annotation(annotator, EditSet(3, (B,)))
+        assert str(info.value) == f"annotator id must be an int >= 0, got {annotator!r}"
+
     def test_duplicate_annotators_rejected(self):
         with pytest.raises(ValidationError):
             M2Entry(

@@ -241,7 +241,7 @@ class TestRewardSet:
 
     def test_table_and_list_agree_with_brute_force_exactly(self):
         for refs, hyp in self.instances():
-            table = RewardSet(refs)
+            table = RewardSet(EditIndex(refs))
             for kind in REWARD_KINDS:
                 for beta in (0.3, 0.5, 1.0, 2.0):
                     config = RewardConfig(kind=kind, beta=beta)
@@ -259,7 +259,7 @@ class TestRewardSet:
         # Every edit set, member or not, is masked edit by edit through the
         # table's bits, so an equal but distinct copy gets the member's bits.
         for refs, _ in self.instances(200, seed=47):
-            table = RewardSet(refs)
+            table = RewardSet(EditIndex(refs))
             for member in refs:
                 copy = EditSet(member.source_len, member.edits)
                 assert copy is not member
@@ -279,7 +279,7 @@ class TestRewardSet:
             votes = [edit_set for edit_set, _ in resolved]
             assert votes == [bf_vote_set(refs, m) for m in range(1, len(refs) + 1)]
             table = RewardSet(index, [mask for _, mask in resolved])
-            listed = RewardSet(refs + votes)
+            listed = RewardSet(EditIndex(refs + votes))
             members = [ref.edits for ref in refs + votes]
             for candidate in [hyp, *votes]:
                 for kind in REWARD_KINDS:
@@ -289,22 +289,23 @@ class TestRewardSet:
                     assert got == bf_expected(kind, members, candidate.edits, 2.0)
 
     def test_edit_outside_every_member_counts_only_in_size(self):
-        table = RewardSet([es(B)])
+        table = RewardSet(EditIndex([es(B)]))
         assert table.bit(D) == 0
         assert table.mask(es(B, D)) == table.bit(B) == table.mask(es(B))
         assert expected_reward(es(B, D), table, RewardConfig(kind="precision")) == 0.5
 
     def test_empty_reward_set_rejected(self):
-        with pytest.raises(ValueError, match="reward set must be non-empty"):
-            RewardSet([])
-        with pytest.raises(ValueError, match="reward set must be non-empty"):
+        # A list of edit sets is indexed first, so the index refuses an empty one.
+        with pytest.raises(ValueError, match="need at least one edit set"):
+            RewardSet(EditIndex([]))
+        with pytest.raises(ValueError, match="need at least one edit set"):
             expected_reward(es(B), [], RewardConfig())
 
     def test_source_length_mismatch_rejected(self):
         with pytest.raises(ValidationError):
-            RewardSet([es(B), EditSet(5, (B,))])
+            RewardSet(EditIndex([es(B), EditSet(5, (B,))]))
         with pytest.raises(ValidationError):
-            RewardSet([es(B)]).mask(EditSet(5, (B,)))
+            RewardSet(EditIndex([es(B)])).mask(EditSet(5, (B,)))
         with pytest.raises(ValidationError):
             expected_reward(EditSet(5, (B,)), [es(B), es()], RewardConfig())
         with pytest.raises(ValidationError):
@@ -326,7 +327,7 @@ class TestRewardRows:
             source_len = rng.randint(0, 10)
             refs = [random_edit_set(rng, source_len) for _ in range(rng.randint(1, 6))]
             hyps = [random_edit_set(rng, source_len) for _ in range(3)] + refs[:2]
-            table = RewardSet(refs)
+            table = RewardSet(EditIndex(refs))
             ref_edits = [ref.edits for ref in refs]
             for config in self.CONFIGS * 2:
                 for hyp in hyps:
@@ -339,7 +340,7 @@ class TestRewardRows:
             source_len = rng.randint(1, 10)
             refs = [random_edit_set(rng, source_len) for _ in range(rng.randint(1, 6))]
             hyp = random_edit_set(rng, source_len)
-            table = RewardSet(refs)
+            table = RewardSet(EditIndex(refs))
             extra = dict.fromkeys(
                 edit
                 for ref in refs
