@@ -22,6 +22,9 @@ whole ``combine`` command rebuilt from these oracles alone: it reads text
 systems with ``bf_lines`` and ``bf_edits``, ``.m2`` systems with
 ``bf_parse_m2``, selects with ``bf_vote_set``, ``bf_expected`` and
 ``bf_greedy``, and writes the output, report and trace by hand.
+``bf_score`` is the whole ``score`` command rebuilt the same way: it reads
+the hypothesis as ``bf_combine`` reads a system and the reference with
+``bf_parse_m2``, and picks each sentence's annotator from ``bf_prf``.
 """
 
 import itertools
@@ -408,6 +411,69 @@ def bf_format_m2(entries) -> str:
     return "".join(blocks)
 
 
+def bf_sentences(text: str) -> list[Sentence]:
+    """One sentence per ``bf_lines`` line, split on whitespace."""
+    return [Sentence(tuple(line.split())) for line in bf_lines(text)]
+
+
+def bf_hypothesis_sets(sources, is_m2: bool, text: str) -> list[EditSet]:
+    """One edit set per source sentence from a hypothesis file's text: an
+    ``.m2`` file gives each entry's lowest-id annotator (no annotator: no
+    edits), a text file each line's ``bf_edits`` against its source."""
+    if is_m2:
+        return [
+            e.annotations[0].edits if e.annotations else EditSet(len(e.source))
+            for e in bf_parse_m2(text)
+        ]
+    return [bf_edits(src, hyp) for src, hyp in zip(sources, bf_sentences(text))]
+
+
+def bf_prf(tp: int, fp: int, fn: int, beta: float) -> tuple[float, float, float]:
+    """Precision, recall and F-beta from edit counts.
+
+    A zero denominator scores 1.0: an empty hypothesis has nothing to get
+    wrong, an empty reference nothing to miss, and with no edits on either
+    side F is 1.0.  F is taken from P and R in the scorer's operation order,
+    so the floats, and the order of two annotators whose F ties exactly but
+    rounds apart, are the scorer's own; with P = R = 0 it is 0.0.
+    """
+    precision = tp / (tp + fp) if tp + fp else 1.0
+    recall = tp / (tp + fn) if tp + fn else 1.0
+    b2 = beta * beta
+    f = (1.0 + b2) * precision * recall / (b2 * precision + recall) if precision or recall else 0.0
+    return precision, recall, f
+
+
+def bf_score(source_text, hypothesis, reference_text, beta, per_sentence) -> str:
+    """The standard output of ``score`` (with ``--per-sentence`` when asked).
+
+    ``hypothesis`` is ``(is_m2, text)``, read by ``bf_hypothesis_sets``; the
+    reference is read by ``bf_parse_m2``.  Per sentence the annotator with
+    the highest F wins, then the one with more true positives, then the
+    earlier (lower-id) one.  The corpus line scores the summed counts of the
+    winners.
+    """
+    hyps = bf_hypothesis_sets(bf_sentences(source_text), *hypothesis)
+
+    def line(tp, fp, fn):
+        precision, recall, f = bf_prf(tp, fp, fn, beta)
+        return f"P {precision:.4f} R {recall:.4f} F{beta:g} {f:.4f}\n"
+
+    out, totals = [], [0, 0, 0]
+    for index, (hyp, entry) in enumerate(zip(hyps, bf_parse_m2(reference_text))):
+        best = None
+        for annotation in entry.annotations:
+            tp = bf_intersection_size(annotation.edits, hyp)
+            counts = (tp, len(hyp) - tp, len(annotation.edits) - tp)
+            key = (bf_prf(*counts, beta)[2], tp)
+            if best is None or key > best[0]:
+                best = key, counts
+        totals = [total + count for total, count in zip(totals, best[1])]
+        if per_sentence:
+            out.append(f"{index} " + line(*best[1]))
+    return "".join(out) + line(*totals)
+
+
 def bf_combine(source_text, systems, method, kind, reward_set, beta, pool_votes, out_format):
     """The output, ``--report`` lines and ``--trace`` JSONL of ``combine``.
 
@@ -418,19 +484,11 @@ def bf_combine(source_text, systems, method, kind, reward_set, beta, pool_votes,
     candidates, both by first maximum of ``bf_expected``; ``greedy`` is
     ``bf_greedy``.
     """
-    sources = [Sentence(tuple(line.split())) for line in bf_lines(source_text)]
-    columns = []
-    for label, is_m2, text in systems:
-        if is_m2:
-            entries = bf_parse_m2(text)
-            sets = [
-                e.annotations[0].edits if e.annotations else EditSet(len(e.source))
-                for e in entries
-            ]
-        else:
-            hyps = [Sentence(tuple(line.split())) for line in bf_lines(text)]
-            sets = [bf_edits(src, hyp) for src, hyp in zip(sources, hyps)]
-        columns.append([Candidate(edit_set, label) for edit_set in sets])
+    sources = bf_sentences(source_text)
+    columns = [
+        [Candidate(edit_set, label) for edit_set in bf_hypothesis_sets(sources, is_m2, text)]
+        for label, is_m2, text in systems
+    ]
     config = SimpleNamespace(
         reward=SimpleNamespace(kind=kind, beta=beta),
         reward_set=reward_set,
