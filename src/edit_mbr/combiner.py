@@ -91,9 +91,9 @@ def mbr_select(
 
     ``reward_set`` is the candidates to average over, indexed here into a
     ``RewardSet``, or that ``RewardSet`` when the caller has built one
-    already.  The first candidate attaining the
-    maximum wins, so the selection order is the tie-break policy (base
-    systems in input order, then vote candidates by threshold, then greedy).
+    already.  The first candidate attaining the maximum wins, so the
+    selection order is the tie-break policy (base systems in input order,
+    then vote candidates by threshold, then greedy).
     """
     selection = tuple(selection_set)
     if not selection:

@@ -97,8 +97,8 @@ class RewardSet:
     Every member edit has a bit, so a member is just its mask and its size
     the mask's popcount; a hypothesis shares ``popcount(h & r)`` edits with
     it.  A hypothesis edit no member holds has no bit and counts only in its
-    size.  For each hypothesis size and config the table keeps one row per member
-    (``_row``: that member's reward at every possible overlap), so a
+    size.  For each hypothesis size and config the table keeps one row per
+    member (``_row``: that member's reward at every possible overlap), so a
     candidate is scored by indexing rows with overlaps, all in C.  A row
     entry is the ``_score`` value for the same arguments, and ``math.fsum``
     sums the same terms in member order, so every float is the one scoring

@@ -112,12 +112,6 @@ class TestSentence:
         assert str(info.value) == "tokens is a str, not a token sequence: 'abc'"
         assert Sentence(["abc"]).tokens == ("abc",)
 
-    @pytest.mark.parametrize("tokens", [5, None, 1.5])
-    def test_rejects_tokens_that_are_not_iterable(self, tokens):
-        with pytest.raises(ValidationError) as info:
-            Sentence(tokens)
-        assert str(info.value) == f"tokens is not a token sequence: {tokens!r}"
-
     def test_rejects_empty_token(self):
         with pytest.raises(ValidationError):
             Sentence(("",))
@@ -160,6 +154,13 @@ class TestTokenCheck:
                 build(tokens)
             assert str(info.value) == message
 
+    @pytest.mark.parametrize("tokens", [5, None, 1.5])
+    def test_sentence_and_edit_refuse_a_non_iterable(self, tokens):
+        for build, name in ((Sentence, "tokens"), (lambda t: Edit(0, 1, t), "replacement")):
+            with pytest.raises(ValidationError) as info:
+                build(tokens)
+            assert str(info.value) == f"{name} is not a token sequence: {tokens!r}"
+
 
 class TestEditValidation:
     def test_rejects_inverted_span(self):
@@ -193,12 +194,6 @@ class TestEditValidation:
             Edit(0, 1, "xy")
         assert str(info.value) == "replacement is a str, not a token sequence: 'xy'"
         assert Edit(0, 1, ["xy"]).replacement == ("xy",)
-
-    @pytest.mark.parametrize("replacement", [5, None, 1.5])
-    def test_rejects_a_replacement_that_is_not_iterable(self, replacement):
-        with pytest.raises(ValidationError) as info:
-            Edit(0, 1, replacement)
-        assert str(info.value) == f"replacement is not a token sequence: {replacement!r}"
 
 
 class TestEditValue:
