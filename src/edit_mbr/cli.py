@@ -8,18 +8,20 @@ corpus problems.
 --report`` without ``-o`` (the report would mix into the output on standard
 output), names the default manifest ``OUT.manifest.json``, checks the file
 arguments (``_check_paths``), runs the command, and writes what the command
-returns through ``_publish``.  A command only reads, computes, prints and
-returns its outputs as ``{path: text}``.
+returns through ``_publish``.  A command only reads, computes and returns
+its outputs as ``{path: text}``, standard output under the path ``None`` (as
+an omitted ``-o`` names it); ``_publish`` is the one writer of every output.
 
 Two outputs (output, trace, manifest) that name one file, a manifest that
 names an input, or a manifest beside an input that is not a regular file (a
 pipe can be read only once, so its digest cannot be taken) are usage
-errors, found before any input is read.  Outputs replace their targets
-atomically and the manifest is written last: the parsed arguments (with
-``combine``'s resolved thread count) plus input/output SHA-256 digests, so
-re-running with the same inputs and configuration reproduces the outputs
-byte for byte.  Digests are taken only for a manifest, and ``hashlib``,
-which loads OpenSSL, is imported only then.
+errors, found before any input is read.  Standard output is written first;
+file outputs then replace their targets atomically, and the manifest is
+written last: the parsed arguments (with ``combine``'s resolved thread
+count) plus input and output-file SHA-256 digests, so re-running with the
+same inputs and configuration reproduces the outputs byte for byte.
+Digests are taken only for a manifest, and ``hashlib``, which loads
+OpenSSL, is imported only then.
 
 ``main`` pauses the cyclic garbage collector while a command runs and
 restores the state it found when the command ends, however it ends.  A
@@ -143,10 +145,14 @@ def _paths(args, dests) -> list[tuple[str, str]]:
 def _publish(args, outputs: dict) -> None:
     """Write ``outputs`` (path -> text) and then, if ``args.manifest`` is set, the run manifest.
 
-    Input digests are taken before any output is written, so an output that
-    overwrites an input leaves the input's recorded digest as it was read.
-    Without a manifest no digest is taken.
+    The text under the path ``None`` goes to standard output, before any
+    file, and the manifest records no digest for it.  Input digests are
+    taken before any file is written, so an output that overwrites an input
+    leaves the input's recorded digest as it was read.  Without a manifest
+    no digest is taken.
     """
+    if None in outputs:
+        _stdout(outputs.pop(None))
     manifest = args.manifest and {
         "version": __version__,
         "command": args.command,
@@ -261,11 +267,7 @@ def cmd_combine(args) -> dict:
 
     encode = _as_m2 if args.out_format == "m2" else _as_text
     payload = encode([entry.source for entry in corpus], [r.chosen.edit_set for r in results])
-    outputs = {}
-    if args.out:
-        outputs[args.out] = payload
-    else:
-        _stdout(payload)
+    outputs = {args.out: payload}
     if args.trace:
         outputs[args.trace] = "".join(
             json.dumps(
@@ -293,7 +295,7 @@ def cmd_combine(args) -> dict:
                 for candidate, score in zip(result.selection, result.expected_rewards)
             )
             lines.append(f"sent {index} chosen={result.chosen.label} {cells}\n")
-        _stdout("".join(lines))
+        outputs[None] = "".join(lines)  # --report needs -o, so stdout is free
     return outputs
 
 
@@ -319,11 +321,9 @@ def cmd_score(args) -> dict:
             raise ValidationError(f"{args.reference}: entry {index + 1} has no annotators")
         ref_sets.append([ann.edits for ann in entry.annotations])
     report = score_corpus(hyp_sets, ref_sets, beta=args.beta)
-    if args.per_sentence:
-        for index, sentence in enumerate(report.per_sentence):
-            print(f"{index} {_format_prf(sentence)}")
-    print(_format_prf(report))
-    return {}
+    sentences = enumerate(report.per_sentence if args.per_sentence else ())
+    lines = [f"{index} {_format_prf(sentence)}\n" for index, sentence in sentences]
+    return {None: "".join(lines) + _format_prf(report) + "\n"}
 
 
 def cmd_apply(args) -> dict:

@@ -22,6 +22,8 @@ from .edit_core import (
     EditIndex,
     EditSet,
     ValidationError,
+    check_choice,
+    check_int,
     intersect,  # traced by perfbench/child.py
     vote_set,  # traced by perfbench/child.py
 )
@@ -49,18 +51,9 @@ class CombineConfig:
     greedy_pool_threshold: int = 2
 
     def __post_init__(self) -> None:
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
-        if self.reward_set not in REWARD_SET_SPECS:
-            raise ValueError(
-                f"unknown reward set {self.reward_set!r}; expected one of {REWARD_SET_SPECS}"
-            )
-        if type(self.greedy_pool_threshold) is not int:  # refuses a bool too
-            raise ValueError(
-                f"greedy_pool_threshold must be an int, got {self.greedy_pool_threshold!r}"
-            )
-        if self.greedy_pool_threshold < 1:
-            raise ValueError("greedy_pool_threshold must be >= 1")
+        check_choice(self.strategy, "strategy", STRATEGIES)
+        check_choice(self.reward_set, "reward set", REWARD_SET_SPECS)
+        check_int(self.greedy_pool_threshold, "greedy_pool_threshold", 1)
 
 
 @dataclass(frozen=True, slots=True)

@@ -18,7 +18,7 @@ from operator import itemgetter
 
 
 class ValidationError(ValueError):
-    """A sentence, edit, or edit set violates its structural contract."""
+    """A sentence, edit, edit set, or checked field violates its contract."""
 
 
 def _check_token(token: str) -> None:
@@ -172,10 +172,7 @@ class EditSet:
         ``Edit``'s checks, so it is refused before anything is sorted.
         """
         source_len = self.source_len
-        if type(source_len) is not int:  # refuses a bool too
-            raise ValidationError(f"source_len must be an int, got {source_len!r}")
-        if source_len < 0:
-            raise ValidationError("source_len must be >= 0")
+        check_int(source_len, "source_len", 0)
         edits = tuple(self.edits)
         for edit in edits:
             if not isinstance(edit, Edit):
@@ -210,6 +207,21 @@ class EditSet:
         return edit in self.edits
 
 
+def check_int(value, name: str, minimum: int) -> None:
+    """Raise ``ValidationError`` unless ``value`` is an ``int`` (a ``bool`` is
+    refused) of at least ``minimum``."""
+    if type(value) is not int:  # refuses a bool too
+        raise ValidationError(f"{name} must be an int, got {value!r}")
+    if value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}")
+
+
+def check_choice(value, name: str, choices: tuple) -> None:
+    """Raise ``ValueError`` unless ``value`` is one of ``choices``."""
+    if value not in choices:
+        raise ValueError(f"unknown {name} {value!r}; expected one of {choices}")
+
+
 def check_source_len(source_len: int, edit_set: EditSet) -> None:
     """Raise ``ValidationError`` unless ``edit_set`` was built for ``source_len`` tokens."""
     if edit_set.source_len != source_len:
@@ -234,13 +246,11 @@ def apply_edits(source: Sentence, edits: EditSet) -> Sentence:
     """Apply an edit set to its source sentence.
 
     Unedited spans and replacements are concatenated left to right.  The edit
-    set must have been built for a source of this length; internal validity
-    (ordering, no conflicts, spans in range) is guaranteed by ``EditSet``.
+    set must have been built for a source of this length (``check_source_len``);
+    internal validity (ordering, no conflicts, spans in range) is guaranteed
+    by ``EditSet``.
     """
-    if edits.source_len != len(source):
-        raise ValidationError(
-            f"edit set built for {edits.source_len} tokens, source has {len(source)}"
-        )
+    check_source_len(len(source), edits)
     out: list[str] = []
     cursor = 0
     for start, end, replacement in edits:
@@ -423,8 +433,7 @@ def intersect(sets: Sequence[EditSet]) -> EditSet:
 def vote_set(sets: Sequence[EditSet], min_votes: int) -> EditSet:
     """Conflict-resolved set of edits proposed by at least ``min_votes`` sets
     (see ``EditIndex.resolve``); empty when ``min_votes`` exceeds the number
-    of sets."""
-    if min_votes < 1:
-        raise ValueError("min_votes must be >= 1")
+    of sets; ``ValidationError`` unless ``min_votes`` is an ``int`` >= 1."""
+    check_int(min_votes, "min_votes", 1)
     by_threshold = EditIndex(sets).resolve()
     return by_threshold[min_votes - 1][0] if min_votes <= len(sets) else EditSet(sets[0].source_len)

@@ -44,6 +44,8 @@ from .edit_core import (
     EditSet,
     Sentence,
     ValidationError,
+    check_int,
+    check_source_len,
     extract_edits,
 )
 
@@ -70,8 +72,7 @@ class Annotation:
     types: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if type(self.annotator) is not int or self.annotator < 0:  # refuses a bool too
-            raise ValidationError(f"annotator id must be an int >= 0, got {self.annotator!r}")
+        check_int(self.annotator, "annotator id", 0)
         if not self.types and self.edits.edits:
             object.__setattr__(self, "types", ("UNK",) * len(self.edits))
         object.__setattr__(self, "types", tuple(self.types))
@@ -95,11 +96,7 @@ class M2Entry:
             if ann.annotator in seen:
                 raise ValidationError(f"duplicate annotator id {ann.annotator}")
             seen.add(ann.annotator)
-            if ann.edits.source_len != len(self.source):
-                raise ValidationError(
-                    f"annotator {ann.annotator} edits built for {ann.edits.source_len} "
-                    f"tokens, source has {len(self.source)}"
-                )
+            check_source_len(len(self.source), ann.edits)
 
 
 @dataclass(frozen=True, slots=True)

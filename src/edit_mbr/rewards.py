@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import repeat
 from operator import add, getitem
 
-from .edit_core import Edit, EditIndex, EditSet, check_source_len
+from .edit_core import Edit, EditIndex, EditSet, check_choice, check_source_len
 
 REWARD_KINDS = ("recall", "precision", "f", "f-paper", "jaccard")
 
@@ -52,8 +52,7 @@ class RewardConfig:
     beta: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.kind not in REWARD_KINDS:
-            raise ValueError(f"unknown reward kind {self.kind!r}; expected one of {REWARD_KINDS}")
+        check_choice(self.kind, "reward kind", REWARD_KINDS)
         check_beta(self.beta)
 
 

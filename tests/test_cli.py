@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: subcommands, exit codes, manifests, determinism."""
 
+import ast
 import contextlib
 import gc
 import hashlib
@@ -22,6 +23,7 @@ from edit_mbr.cli import main
 from edit_mbr.m2_io import load_sentences, parse_m2
 
 MATRIX = Path(__file__).parent / "data" / "matrix"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 SRC_LINES = ["a b c", "x y z", "p q"]
 HYP1_LINES = ["a B c", "x y z w", "p q"]
@@ -199,6 +201,15 @@ class TestCombine:
         argv = ["combine", str(corpus["src"]), *[str(h) for h in corpus["hyps"]]]
         assert main(argv) == 0
         assert len(capsys.readouterr().out.splitlines()) == len(SRC_LINES)
+
+    def test_stdout_with_a_trace_and_a_manifest(self, corpus, tmp_path, capsys):
+        # The manifest records the trace file and nothing for standard output.
+        trace, manifest = tmp_path / "trace.jsonl", tmp_path / "m.json"
+        argv = ["combine", str(corpus["src"]), *[str(h) for h in corpus["hyps"]]]
+        argv += ["--method", "greedy", "--trace", str(trace), "--manifest", str(manifest)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "a B c\nx y z w\np q\n"
+        assert json.loads(manifest.read_text())["outputs"] == {str(trace): digest(trace)}
 
     def test_report_prints_expected_rewards(self, corpus, tmp_path, capsys):
         out = tmp_path / "out.txt"
@@ -410,6 +421,18 @@ class TestScoreCommand:
         assert lines[0].startswith("0 P ")
         assert lines[1].startswith("1 P ")
 
+    def test_per_sentence_lines_with_a_manifest(self, tmp_path, capsys):
+        src, hyp, ref = self.setup_scoring(tmp_path)
+        manifest = tmp_path / "m.json"
+        argv = ["score", str(src), str(hyp), str(ref), "--per-sentence", "--manifest", str(manifest)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (
+            "0 P 1.0000 R 0.5000 F0.5 0.8333\n"
+            "1 P 0.5000 R 1.0000 F0.5 0.5556\n"
+            "P 0.6667 R 0.6667 F0.5 0.6667\n"
+        )
+        assert json.loads(manifest.read_text())["outputs"] == {}
+
     def test_m2_hypothesis_input(self, tmp_path, capsys):
         src, hyp, ref = self.setup_scoring(tmp_path)
         hyp_m2 = tmp_path / "hyp.m2"
@@ -453,6 +476,74 @@ class TestScoreCommand:
         ref = tmp_path / "ref.m2"
         ref.write_text("S a b c\nA 1|||UNK|||B|||REQUIRED|||-NONE-|||0\n\n")
         assert main(["score", str(src), str(hyp), str(ref)]) == 2
+
+
+def stdout_writes(text: str) -> list[tuple[int, str]]:
+    """(line, what) of each write to standard output that bypasses ``_publish``.
+
+    Only ``_stdout`` may name ``sys.stdout``, only ``_publish`` may call
+    ``_stdout``, and ``print`` appears only in ``_run``, with
+    ``file=sys.stderr`` (its error lines)."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name):
+                callee = child.func.id
+                to_stderr = any(
+                    keyword.arg == "file" and ast.unparse(keyword.value) == "sys.stderr"
+                    for keyword in child.keywords
+                )
+                if (callee == "print" and not (function == "_run" and to_stderr)) or (
+                    callee == "_stdout" and function != "_publish"
+                ):
+                    found.append((child.lineno, f"{callee} in {function}"))
+            elif isinstance(child, ast.Attribute) and ast.unparse(child) == "sys.stdout":
+                if function != "_stdout":
+                    found.append((child.lineno, f"sys.stdout in {function}"))
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_function else function)
+
+    visit(ast.parse(text), None)
+    return found
+
+
+class TestOneWriter:
+    """``_publish`` writes every output: standard output, then files, then the manifest."""
+
+    def test_nothing_under_src_writes_standard_output_but_publish(self):
+        files = sorted(SRC.rglob("*.py"))
+        assert files
+        found = [
+            f"{path.relative_to(SRC)}:{line}: {what}"
+            for path in files
+            for line, what in stdout_writes(path.read_text(encoding="utf-8"))
+        ]
+        assert found == []
+
+    def test_scan_finds_each_write_that_bypasses_publish(self):
+        text = (
+            "import sys\n"
+            "def _stdout(text):\n"
+            "    sys.stdout.write(text)\n"
+            "def _publish(outputs):\n"
+            "    _stdout(outputs[None])\n"
+            "def _run(exc):\n"
+            "    print(exc, file=sys.stderr)\n"
+            "def cmd_score(args):\n"
+            "    print('P')\n"
+            "    _stdout('P')\n"
+            "    sys.stdout.write('P')\n"
+            "    print('P', file=sys.stderr)\n"
+            "print('P', file=sys.stderr)\n"
+        )
+        assert stdout_writes(text) == [
+            (9, "print in cmd_score"),
+            (10, "_stdout in cmd_score"),
+            (11, "sys.stdout in cmd_score"),
+            (12, "print in cmd_score"),
+            (13, "print in None"),
+        ]
 
 
 class TestBadEncoding:

@@ -536,7 +536,7 @@ class TestApply:
         assert got == tokenize("z a b")
 
     def test_rejects_source_length_mismatch(self):
-        with pytest.raises(ValidationError, match="source has"):
+        with pytest.raises(ValidationError, match="^edit sets disagree on source length: 2 vs 3$"):
             apply_edits(tokenize("a b"), es(B))
 
 
@@ -567,6 +567,16 @@ class TestVotesAndAlgebra:
         assert vote_set(sets, 1) == es(B, D)
         assert vote_set(sets, 2) == es(B)
         assert vote_set(sets, 3) == es()
+
+    @pytest.mark.parametrize("min_votes", [1.5, 2.0, True, "2"])
+    def test_rejects_a_threshold_that_is_not_an_int(self, min_votes):
+        with pytest.raises(ValidationError) as info:
+            vote_set(self.sets(), min_votes)
+        assert str(info.value) == f"min_votes must be an int, got {min_votes!r}"
+
+    def test_rejects_a_threshold_below_1(self):
+        with pytest.raises(ValidationError, match="^min_votes must be >= 1$"):
+            vote_set(self.sets(), 0)
 
     def test_threshold_adding_no_edit_reuses_the_set_above(self):
         # B has 3 votes, D 1: thresholds 2 and 3 hold B alone, 4 nothing.

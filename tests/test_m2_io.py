@@ -603,7 +603,10 @@ class TestAnnotationTypes:
         # emit_m2 would write such an id as it prints, and parse_m2 refuse it.
         with pytest.raises(ValidationError) as info:
             Annotation(annotator, EditSet(3, (B,)))
-        assert str(info.value) == f"annotator id must be an int >= 0, got {annotator!r}"
+        if annotator == -1:
+            assert str(info.value) == "annotator id must be >= 0"
+        else:
+            assert str(info.value) == f"annotator id must be an int, got {annotator!r}"
 
     def test_duplicate_annotators_rejected(self):
         with pytest.raises(ValidationError):
