@@ -21,6 +21,7 @@ from .combiner import (
 )
 from .edit_core import (
     Candidate,
+    CorpusEntry,
     Edit,
     EditSet,
     Sentence,
@@ -34,7 +35,6 @@ from .edit_core import (
 )
 from .m2_io import (
     Annotation,
-    CorpusEntry,
     M2Entry,
     M2ParseError,
     emit_m2,

@@ -18,6 +18,7 @@ from operator import add
 
 from .edit_core import (
     Candidate,
+    CorpusEntry,
     Edit,
     EditIndex,
     EditSet,
@@ -27,7 +28,6 @@ from .edit_core import (
     intersect,  # traced by perfbench/child.py
     vote_set,  # traced by perfbench/child.py
 )
-from .m2_io import CorpusEntry
 from .rewards import RewardConfig, RewardSet, expected_reward
 
 STRATEGIES = ("mbr", "mbr-vote", "greedy")

@@ -1,6 +1,6 @@
 """Token-level edits: extraction by alignment, application, and set algebra.
 
-A sentence is a whitespace-free token sequence.  An edit replaces the source
+A sentence is a tuple of whitespace-free tokens.  An edit replaces the source
 span [start, end) with a replacement token sequence; an edit set is a
 canonical, conflict-free collection of edits describing one full correction
 of a sentence.  A sentence's system edit sets are indexed once
@@ -60,33 +60,34 @@ def _token_tuple(tokens, name: str) -> tuple[str, ...]:
     return tuple(iterator)
 
 
-@dataclass(frozen=True, slots=True)
-class Sentence:
-    """An immutable sequence of whitespace-free tokens."""
+class Sentence(tuple):
+    """An immutable sequence of whitespace-free tokens.
 
-    tokens: tuple[str, ...] = ()
+    A sentence is the tuple of its tokens, as an ``Edit`` is the tuple of its
+    fields: hashing, equality and ordering are the tuple's own, and a slice
+    is a plain tuple.  ``tokens`` is that plain tuple.
+    """
 
-    def __post_init__(self) -> None:
-        if type(self.tokens) is not tuple:
-            object.__setattr__(self, "tokens", _token_tuple(self.tokens, "tokens"))
-        _check_tokens(self.tokens)
+    __slots__ = ()
 
-    def __len__(self) -> int:
-        return len(self.tokens)
+    def __new__(cls, tokens: Iterable[str] = ()) -> Sentence:
+        if type(tokens) is not tuple:
+            tokens = _token_tuple(tokens, "tokens")
+        _check_tokens(tokens)
+        return tuple.__new__(cls, tokens)
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.tokens)
+    tokens = property(tuple)
 
-    def __getitem__(self, index):
-        return self.tokens[index]
+    def __repr__(self) -> str:
+        return f"Sentence(tokens={tuple(self)!r})"
 
     def text(self) -> str:
-        return " ".join(self.tokens)
+        return " ".join(self)
 
 
 def tokenize(text: str) -> Sentence:
     """Split a raw line on runs of whitespace; an empty line gives an empty sentence."""
-    return Sentence(tuple(text.split()))
+    return Sentence(text.split())
 
 
 class Edit(tuple):
@@ -203,9 +204,6 @@ class EditSet:
     def __iter__(self) -> Iterator[Edit]:
         return iter(self.edits)
 
-    def __contains__(self, edit: Edit) -> bool:
-        return edit in self.edits
-
 
 def check_int(value, name: str, minimum: int) -> None:
     """Raise ``ValidationError`` unless ``value`` is an ``int`` (a ``bool`` is
@@ -238,8 +236,18 @@ class Candidate:
     label: str
 
     def __post_init__(self) -> None:
+        if not isinstance(self.edit_set, EditSet):
+            raise ValidationError(f"candidate edit set must be an EditSet, got {self.edit_set!r}")
         if not isinstance(self.label, str) or not self.label:
             raise ValidationError(f"candidate label must be a non-empty str, got {self.label!r}")
+
+
+@dataclass(frozen=True, slots=True)
+class CorpusEntry:
+    """One source sentence with its per-system hypothesis candidates."""
+
+    source: Sentence
+    systems: tuple[Candidate, ...]
 
 
 def apply_edits(source: Sentence, edits: EditSet) -> Sentence:
@@ -254,10 +262,10 @@ def apply_edits(source: Sentence, edits: EditSet) -> Sentence:
     out: list[str] = []
     cursor = 0
     for start, end, replacement in edits:
-        out.extend(source.tokens[cursor:start])
+        out.extend(source[cursor:start])
         out.extend(replacement)
         cursor = end
-    out.extend(source.tokens[cursor:])
+    out.extend(source[cursor:])
     return Sentence(tuple(out))
 
 
@@ -292,7 +300,7 @@ def extract_edits(source: Sentence, hypothesis: Sentence) -> EditSet:
     row 0 or down column 0.  The column vectors count rows and columns from
     ``p``: bit ``i - p - 1`` of ``vps[j - p]`` stands for cell ``(i, j)``.
     """
-    src, hyp = source.tokens, hypothesis.tokens
+    src, hyp = source, hypothesis
     n, m = len(src), len(hyp)
     while n and m and src[n - 1] == hyp[m - 1]:
         n -= 1

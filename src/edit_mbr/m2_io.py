@@ -40,6 +40,7 @@ from pathlib import Path
 
 from .edit_core import (
     Candidate,
+    CorpusEntry,
     Edit,
     EditSet,
     Sentence,
@@ -97,14 +98,6 @@ class M2Entry:
                 raise ValidationError(f"duplicate annotator id {ann.annotator}")
             seen.add(ann.annotator)
             check_source_len(len(self.source), ann.edits)
-
-
-@dataclass(frozen=True, slots=True)
-class CorpusEntry:
-    """One source sentence with its per-system hypothesis candidates."""
-
-    source: Sentence
-    systems: tuple[Candidate, ...]
 
 
 def primary_edit_set(entry: M2Entry) -> EditSet:

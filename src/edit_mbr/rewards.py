@@ -26,7 +26,10 @@ BETA_MIN, BETA_MAX = 1e-100, 1e100
 
 
 def check_beta(beta: float) -> None:
-    """Raise ``ValueError`` unless ``beta`` lies in [``BETA_MIN``, ``BETA_MAX``]."""
+    """Raise ``ValueError`` unless ``beta`` is an ``int`` or a ``float`` (a
+    ``bool`` is refused) in [``BETA_MIN``, ``BETA_MAX``]."""
+    if not isinstance(beta, (int, float)) or isinstance(beta, bool):
+        raise ValueError(f"beta must be an int or a float, got {beta!r}")
     if not 0 < beta < math.inf:
         raise ValueError(f"beta must be positive and finite, got {beta}")
     if not BETA_MIN <= beta <= BETA_MAX:

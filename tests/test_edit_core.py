@@ -1,9 +1,11 @@
 """Sentences, edits, edit sets, extraction, application, and set algebra."""
 
+import ast
 import copy
 import itertools
 import pickle
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,8 +23,11 @@ from conftest import (
     random_sentence,
     random_systems,
 )
+import edit_mbr
+from edit_mbr import m2_io
 from edit_mbr.edit_core import (
     Candidate,
+    CorpusEntry,
     Edit,
     EditIndex,
     EditSet,
@@ -39,6 +44,7 @@ from edit_mbr.edit_core import (
 B = Edit(1, 2, ("B",))
 D = Edit(3, 3, ("d",))
 X = Edit(1, 2, ("X",))
+SRC = Path(__file__).resolve().parent.parent / "src" / "edit_mbr"
 
 
 def es(*edits, source_len=3):
@@ -120,6 +126,64 @@ class TestSentence:
     def test_text_retokenizes_exactly(self, tokens):
         sentence = Sentence(tuple(tokens))
         assert tokenize(sentence.text()) == sentence
+
+
+class TestSentenceValue:
+    def test_is_a_slotted_tuple(self):
+        sentence = Sentence(("a", "b"))
+        assert isinstance(sentence, tuple) and Sentence.__slots__ == ()
+        assert not hasattr(sentence, "__dict__")
+        with pytest.raises(AttributeError):
+            sentence.tokens = ("c",)
+
+    def test_equals_hashes_and_orders_as_its_token_tuple(self):
+        sentence = Sentence(("a", "b"))
+        assert sentence == ("a", "b") and hash(sentence) == hash(("a", "b"))
+        assert Sentence() == () and hash(Sentence()) == hash(())
+        rng = random.Random(13)
+        sentences = [random_sentence(rng, 0, 4, vocab=3) for _ in range(200)]
+        assert sorted(sentences) == sorted(sentences, key=tuple)
+
+    def test_slices_and_tokens_are_plain_tuples(self):
+        sentence = Sentence(("a", "b", "c"))
+        assert type(sentence[0:1]) is tuple and sentence[0:1] == ("a",)
+        assert type(sentence[:]) is tuple and sentence[:] == ("a", "b", "c")
+        assert type(sentence.tokens) is tuple and sentence.tokens == ("a", "b", "c")
+        assert sentence[1] == "b" and len(sentence) == 3 and list(sentence) == ["a", "b", "c"]
+
+    @pytest.mark.parametrize(
+        "tokens",
+        [["a", "b"], (t for t in ("a", "b")), Sentence(("a", "b")), iter(("a", "b"))],
+        ids=["list", "generator", "sentence", "iterator"],
+    )
+    def test_any_token_iterable_gives_an_equal_sentence(self, tokens):
+        sentence = Sentence(tokens)
+        assert type(sentence) is Sentence and sentence == Sentence(("a", "b"))
+        assert Sentence(tokens=("a", "b")) == sentence
+
+    def test_repr(self):
+        assert repr(Sentence(("a", "b"))) == "Sentence(tokens=('a', 'b'))"
+        assert repr(Sentence()) == "Sentence(tokens=())"
+        assert repr(tokenize("x")) == "Sentence(tokens=('x',))"
+
+    def test_src_never_reads_the_tokens_attribute(self):
+        # ``Sentence.tokens`` is kept for callers outside the package; the
+        # package indexes and iterates the sentence.
+        reads = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(SRC.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and node.attr == "tokens"
+        ]
+        assert reads == []
+
+
+class TestCorpusEntry:
+    def test_lives_in_edit_core_and_the_combiner_needs_no_m2_io(self):
+        assert m2_io.CorpusEntry is CorpusEntry and edit_mbr.CorpusEntry is CorpusEntry
+        tree = ast.parse((SRC / "combiner.py").read_text(encoding="utf-8"))
+        modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert "m2_io" not in modules and "edit_core" in modules
 
 
 class TestTokenCheck:
@@ -220,10 +284,11 @@ class TestEditValue:
         "clone", [lambda e: pickle.loads(pickle.dumps(e)), copy.copy, copy.deepcopy]
     )
     def test_pickle_and_copy_round_trip(self, clone):
-        for edit in (Edit(1, 2, ("a",)), Edit(0, 0, ("x", "y")), Edit(2, 4)):
-            twin = clone(edit)
-            assert twin == edit and type(twin) is Edit
-            assert repr(twin) == repr(edit)
+        values = (Edit(1, 2, ("a",)), Edit(0, 0, ("x", "y")), Edit(2, 4))
+        for value in values + (Sentence(("a", "b")), Sentence(), tokenize("x y z")):
+            twin = clone(value)
+            assert twin == value and type(twin) is type(value)
+            assert repr(twin) == repr(value)
 
     def test_order_is_start_end_replacement(self):
         rng = random.Random(11)
@@ -302,6 +367,15 @@ class TestConflicts:
 
 
 class TestEditSet:
+    def test_membership_answers_through_iteration(self):
+        assert "__contains__" not in vars(EditSet)
+        edit_set = es(B, D)
+        assert B in edit_set and Edit(1, 2, ("B",)) in edit_set and D in edit_set
+        assert X not in edit_set and Edit(0, 1) not in edit_set
+        assert (1, 2, ("B",)) in edit_set  # an Edit equals its tuple
+        assert "B" not in edit_set and None not in edit_set and 1 not in edit_set
+        assert B not in es()
+
     def test_sorts_and_dedupes(self):
         built = EditSet(4, (D, B, Edit(1, 2, ("B",))))
         assert built.edits == (B, D)
@@ -636,6 +710,13 @@ class TestCandidate:
         with pytest.raises(ValidationError) as info:
             Candidate(es(B), label)
         assert str(info.value) == f"candidate label must be a non-empty str, got {label!r}"
+
+    @pytest.mark.parametrize("edit_set", ["nope", None, (B,), [B], frozenset({B})])
+    def test_edit_set_must_be_an_edit_set_and_is_checked_first(self, edit_set):
+        for label in ("a", ""):
+            with pytest.raises(ValidationError) as info:
+                Candidate(edit_set, label)
+            assert str(info.value) == f"candidate edit set must be an EditSet, got {edit_set!r}"
 
 
 class TestEditIndex:

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import bf_lines, bf_parse_m2, random_edit_set, random_sentence
 from edit_mbr import m2_io
-from edit_mbr.edit_core import Edit, EditSet, Sentence, ValidationError, tokenize
+from edit_mbr.combiner import CombineConfig, combine_sentence
+from edit_mbr.edit_core import Candidate, Edit, EditSet, Sentence, ValidationError, tokenize
 from edit_mbr.m2_io import (
     Annotation,
     M2Entry,
@@ -659,12 +660,23 @@ class TestLoadParallel:
         assert labels == ["hyp", "hyp.2"]
 
     def test_labels_never_equal_combiner_candidate_labels(self, tmp_path):
+        # The labels the combiner gives its own candidates, read off its
+        # selection set over 1 to 5 systems, so that a change of format in
+        # either module alone fails here.
+        config = CombineConfig("greedy", reward_set="base+votes")
+        combiner = []
+        for n in range(1, 6):
+            systems = [Candidate(EditSet(3), f"sys{i}") for i in range(n)]
+            for candidate in combine_sentence(systems, config).selection[n:]:
+                if candidate.label not in combiner:
+                    combiner.append(candidate.label)
+        assert len(combiner) == 6  # a vote candidate per threshold 1..5, and greedy
         src = self.write(tmp_path, "src.txt", ["a b c"])
-        names = ["vote-1", "greedy", "vote-x", *(f"sys{i}" for i in range(8))]
-        hyps = [self.write(tmp_path, f"{name}.txt", ["a B c"]) for name in names]
+        others = ["vote-x", *(f"sys{i}" for i in range(8))]
+        hyps = [self.write(tmp_path, f"{name}.txt", ["a B c"]) for name in combiner + others]
         corpus = load_parallel(src, hyps)
         labels = [c.label for c in corpus[0].systems]
-        assert labels == ["vote-1.2", "greedy.2", "vote-x", *names[3:]]
+        assert labels == [f"{name}.2" for name in combiner] + others
 
     def test_m2_hypothesis_column(self, tmp_path):
         src = self.write(tmp_path, "src.txt", ["a b c"])

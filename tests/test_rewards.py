@@ -2,6 +2,8 @@
 
 import math
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given
@@ -19,7 +21,7 @@ from edit_mbr.rewards import (
     expected_reward,
     reward,
 )
-from edit_mbr.scorer import _from_counts
+from edit_mbr.scorer import _from_counts, score_corpus, score_sentence
 
 B = Edit(1, 2, ("B",))
 D = Edit(3, 3, ("d",))
@@ -83,6 +85,30 @@ class TestRewardConfig:
     def test_rejects_nonpositive_beta(self):
         with pytest.raises(ValueError):
             RewardConfig(beta=0.0)
+
+    @pytest.mark.parametrize("beta", [True, False, "0.5", Decimal("0.5"), Fraction(1, 2), None])
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda beta: RewardConfig(beta=beta),
+            lambda beta: score_sentence(es(B), [es(B)], beta=beta),
+            lambda beta: score_corpus([], [], beta=beta),
+        ],
+        ids=["RewardConfig", "score_sentence", "score_corpus"],
+    )
+    def test_rejects_a_beta_that_is_not_an_int_or_a_float(self, check, beta):
+        with pytest.raises(ValueError) as info:
+            check(beta)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"beta must be an int or a float, got {beta!r}"
+
+    def test_accepts_an_int_and_a_float_subclass(self):
+        class Float(float):
+            pass
+
+        assert RewardConfig(beta=2).beta == 2
+        assert RewardConfig(beta=Float(0.5)).beta == 0.5
+        assert score_sentence(es(B), [es(B)], beta=Float(0.5)).f == 1.0
 
     @pytest.mark.parametrize("beta", [1e154, 1e200, 1e-200, 5e-324])
     def test_rejects_beta_whose_square_overflows_or_underflows(self, beta):
