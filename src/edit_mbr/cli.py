@@ -149,8 +149,13 @@ def _publish(args, outputs: dict) -> None:
     file, and the manifest records no digest for it.  Input digests are
     taken before any file is written, so an output that overwrites an input
     leaves the input's recorded digest as it was read.  Without a manifest
-    no digest is taken.
+    no digest is taken.  With a manifest, the regular file at its path (a
+    symlink's target, as ``_replace`` would write) is removed before
+    anything is written, so a write that fails leaves no manifest of other
+    bytes; a device or FIFO is left alone.
     """
+    if args.manifest and os.path.isfile(args.manifest):
+        os.unlink(os.path.realpath(args.manifest))
     if None in outputs:
         _stdout(outputs.pop(None))
     manifest = args.manifest and {

@@ -283,10 +283,7 @@ def parse_m2(
                 source = sources[index]
             else:
                 tokens = line[2:].split()
-                try:
-                    source = Sentence(tuple(map(word, tokens, tokens)))
-                except ValidationError as exc:
-                    raise M2ParseError(f"line {line_no}: {exc}") from exc
+                source = Sentence(tuple(map(word, tokens, tokens)))
             source_len = len(source)
             entry_line = line_no
             # Valid edit lines: text before the last '|||' -> (edit, type).
@@ -425,9 +422,11 @@ def load_parallel(source_path, hyp_paths: Sequence) -> tuple[CorpusEntry, ...]:
     Hypothesis edits are extracted on load; ``.m2`` hypothesis files are
     parsed instead.  Two or more of them share one memo of checked edit
     lines (see ``parse_m2``), so an edit line that several systems share is
-    checked in full once; the memo is dropped once the last ``.m2`` file is
-    parsed.  This is the one place that shares a memo: with one ``.m2``
-    file, and in ``score`` and ``apply``, each entry keeps a memo of its own.
+    checked in full once.  The memo lives while the systems load, text
+    systems after the last ``.m2`` file included, and is dropped before the
+    entries are built.  This is the one place that shares a memo: with one
+    ``.m2`` file, and in ``score`` and ``apply``, each entry keeps a memo of
+    its own.
     System labels come from the file stems, deduplicated as ``stem.2``,
     ``stem.3``, ...; a stem equal to ``greedy`` or ``vote-<m>`` is
     deduplicated the same way, so every label in a ``--report`` line is
@@ -435,21 +434,9 @@ def load_parallel(source_path, hyp_paths: Sequence) -> tuple[CorpusEntry, ...]:
     """
     sources = load_sentences(source_path)
     labels = _labels_for(hyp_paths)
-    m2_left = sum(map(is_m2, hyp_paths))
-    memo = {} if m2_left > 1 else None
-    columns = []
-    for path in hyp_paths:
-        columns.append(load_hypothesis_sets(path, sources, source_path, memo))
-        m2_left -= is_m2(path)
-        if not m2_left:
-            # Not dead code: the memo keeps the text of every distinct edit
-            # line of the call's M2 files, and nothing reads it once the last
-            # of them is parsed.  Dropping it frees that text before later
-            # text systems are extracted and the corpus is combined: with 8
-            # .m2 and then 4 text systems of a 600-sentence corpus, keeping it
-            # raised peak RSS (VmHWM) from 26.5 to 27.0 MiB under --method mbr
-            # (Python 3.11, Linux x86-64).
-            memo = None
+    memo = {} if sum(map(is_m2, hyp_paths)) > 1 else None
+    columns = [load_hypothesis_sets(path, sources, source_path, memo) for path in hyp_paths]
+    del memo  # the text of every distinct edit line: freed before the entries are built
     return tuple(
         CorpusEntry(source, tuple(map(Candidate, edit_sets, labels)))
         for source, *edit_sets in zip(sources, *columns)

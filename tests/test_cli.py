@@ -86,6 +86,16 @@ class TestExtractApply:
         src = write(tmp_path / "one.txt", ["a b c"])
         assert main(["apply", str(src), str(bad), str(tmp_path / "o.txt")]) == 2
 
+    def test_apply_rejects_zero_width_edit_with_empty_replacement(self, tmp_path, capsys):
+        bad = tmp_path / "bad.m2"
+        bad.write_text("S a b c\nA 2 2|||M|||-NONE-|||REQUIRED|||-NONE-|||0\n\n")
+        src = write(tmp_path / "one.txt", ["a b c"])
+        assert main(["apply", str(src), str(bad), str(tmp_path / "o.txt")]) == 2
+        assert capsys.readouterr().err == (
+            "edit-mbr: error: line 2: zero-width edit with empty replacement is a no-op\n"
+        )
+        assert not (tmp_path / "o.txt").exists()
+
     @pytest.mark.parametrize("token", ["|||", "x|||y", "-NONE-", "x|"])
     def test_replacement_m2_cannot_hold_is_data_error(self, tmp_path, capsys, token):
         src = write(tmp_path / "s.txt", ["a b c"])
@@ -364,6 +374,34 @@ class TestCombine:
         assert link.is_symlink() and real.read_text(encoding="utf-8") != "old\n"
         manifest = json.loads((tmp_path / "link.txt.manifest.json").read_text())
         assert manifest["outputs"][str(fifo)] == hashlib.sha256(got[0]).hexdigest()
+
+    @pytest.mark.parametrize("trace", ["nodir/t.jsonl", "dir"])
+    def test_failed_publish_leaves_no_manifest_of_other_bytes(self, tmp_path, capsys, trace):
+        # The output is replaced, then the trace cannot be written: the
+        # manifest of the first run would describe the old output.
+        out, manifest = tmp_path / "out.txt", tmp_path / "out.txt.manifest.json"
+        argv = ["combine", *(str(MATRIX / n) for n in ("src.txt", "hyp0.txt", "hyp1.txt"))]
+        argv += ["-o", str(out)]
+        assert main(argv) == 0
+        first = digest(out)
+        assert json.loads(manifest.read_text())["outputs"] == {str(out): first}
+        (tmp_path / "dir").mkdir()
+        assert main(argv + ["--method", "mbr-vote", "--trace", str(tmp_path / trace)]) == 2
+        assert capsys.readouterr().err.startswith("edit-mbr: error: ")
+        assert digest(out) != first
+        assert not manifest.exists()
+
+    def test_failed_publish_removes_a_symlinked_manifest_and_leaves_a_fifo(self, corpus, tmp_path):
+        out = tmp_path / "out.txt"
+        real, link, fifo = tmp_path / "real.json", tmp_path / "link.json", tmp_path / "m.fifo"
+        real.write_text("{}\n", encoding="utf-8")
+        link.symlink_to(real)
+        os.mkfifo(fifo)
+        trace = str(tmp_path / "nodir" / "t.jsonl")
+        for manifest in (link, fifo):
+            assert self.run_combine(corpus, out, "--trace", trace, "--manifest", str(manifest)) == 2
+        assert link.is_symlink() and not real.exists()
+        assert fifo.is_fifo()
 
 
 class TestScoreCommand:

@@ -11,7 +11,15 @@ from hypothesis import strategies as st
 from conftest import bf_lines, bf_parse_m2, random_edit_set, random_sentence
 from edit_mbr import m2_io
 from edit_mbr.combiner import CombineConfig, combine_sentence
-from edit_mbr.edit_core import Candidate, Edit, EditSet, Sentence, ValidationError, tokenize
+from edit_mbr.edit_core import (
+    Candidate,
+    CorpusEntry,
+    Edit,
+    EditSet,
+    Sentence,
+    ValidationError,
+    tokenize,
+)
 from edit_mbr.m2_io import (
     Annotation,
     M2Entry,
@@ -74,6 +82,12 @@ class TestParse:
     def test_unrecognized_line(self):
         with pytest.raises(M2ParseError, match="line 2"):
             parse_m2("S a b c\nB whatever\n\n")
+
+    @pytest.mark.parametrize("replacement", ["-NONE-", ""])
+    def test_zero_width_edit_with_empty_replacement(self, replacement):
+        message = "^line 2: zero-width edit with empty replacement is a no-op$"
+        with pytest.raises(M2ParseError, match=message):
+            parse_m2(f"S a b c\n{_line('2 2', 'M', replacement)}\n\n")
 
     def test_negative_annotator(self):
         with pytest.raises(M2ParseError, match="annotator"):
@@ -502,15 +516,24 @@ class TestSharedMemo:
             ([paths[0], tmp_path / "hyp.txt"], False),
             (paths[:2], True),
             ([paths[0], tmp_path / "hyp.txt", paths[1], paths[2]], True),
+            ([paths[0], paths[1], tmp_path / "hyp.txt"], True),
         ]:
             memo_seen.clear()
-            load_parallel(src, hyp_paths)
+            entries = load_parallel(src, hyp_paths)
             assert len(memo_seen) == sum(path.suffix == ".m2" for path in hyp_paths)
             if shared:
                 first = memo_seen[0]
                 assert isinstance(first, dict) and all(memo is first for memo in memo_seen)
             else:
                 assert memo_seen == [None]
+            # The entries of each file loaded alone, with no memo.
+            sources = load_sentences(src)
+            columns = [m2_io.load_hypothesis_sets(path, sources, src) for path in hyp_paths]
+            labels = [path.stem for path in hyp_paths]
+            assert entries == tuple(
+                CorpusEntry(source, tuple(map(Candidate, edit_sets, labels)))
+                for source, *edit_sets in zip(sources, *columns)
+            )
 
     def test_without_sources_every_entry_is_parsed_alone(self):
         text = f"S a b c\n{_line('1 2', 'UNK', 'B')}\n\nS a b c\n{_line('1 2', 'UNK', 'B')}\n"

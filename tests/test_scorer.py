@@ -52,6 +52,21 @@ class TestScoreSentence:
         second = score_sentence(hyp, [high_tp, low_tp], beta=1.0)
         assert second.tp == 2
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="F is compared as a float: P 3/4 R 3/5 gives 0.6666666666666665 and "
+        "P 1/2 R 1 gives 0.6666666666666666, so the annotator with 2 true positives wins",
+    )
+    def test_exact_f_tie_broken_by_tp(self):
+        # With beta 1 both annotators give F = 2/3 exactly, in either order.
+        hyp_edits = tuple(Edit(i, i + 1, ("h",)) for i in range(4))
+        hyp = EditSet(6, hyp_edits)
+        more_tp = EditSet(6, (*hyp_edits[:3], Edit(4, 5, ("o",)), Edit(5, 6, ("o",))))
+        fewer_tp = EditSet(6, hyp_edits[:2])
+        for refs in ([more_tp, fewer_tp], [fewer_tp, more_tp]):
+            report = score_sentence(hyp, refs, beta=1.0)
+            assert (report.tp, report.fp, report.fn) == (3, 1, 2)
+
     def test_full_tie_prefers_earlier_annotator(self):
         report = score_sentence(es(B), [es(B), es(B)], beta=0.5)
         assert (report.tp, report.fp, report.fn) == (1, 0, 0)
