@@ -54,6 +54,8 @@ class CombineConfig:
         check_choice(self.strategy, "strategy", STRATEGIES)
         check_choice(self.reward_set, "reward set", REWARD_SET_SPECS)
         check_int(self.greedy_pool_threshold, "greedy_pool_threshold", 1)
+        if not isinstance(self.reward, RewardConfig):
+            raise ValidationError(f"reward must be a RewardConfig, got {self.reward!r}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -74,6 +74,8 @@ class Annotation:
 
     def __post_init__(self) -> None:
         check_int(self.annotator, "annotator id", 0)
+        if not isinstance(self.edits, EditSet):
+            raise ValidationError(f"annotation edits must be an EditSet, got {self.edits!r}")
         if not self.types and self.edits.edits:
             object.__setattr__(self, "types", ("UNK",) * len(self.edits))
         object.__setattr__(self, "types", tuple(self.types))
@@ -91,9 +93,13 @@ class M2Entry:
     annotations: tuple[Annotation, ...] = ()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.source, Sentence):
+            raise ValidationError(f"entry source must be a Sentence, got {self.source!r}")
         object.__setattr__(self, "annotations", tuple(self.annotations))
         seen: set[int] = set()
         for ann in self.annotations:
+            if not isinstance(ann, Annotation):
+                raise ValidationError(f"entry annotation must be an Annotation, got {ann!r}")
             if ann.annotator in seen:
                 raise ValidationError(f"duplicate annotator id {ann.annotator}")
             seen.add(ann.annotator)
@@ -316,7 +322,7 @@ def emit_m2(entries: Sequence[M2Entry]) -> str:
                     raise ValidationError(
                         f"entry {number}: replacement {replacement!r} cannot be written as M2"
                     )
-                if _unwritable(type_str):
+                if not isinstance(type_str, str) or _unwritable(type_str):
                     raise ValidationError(f"entry {number}: type {type_str!r} cannot be written as M2")
                 lines.append(
                     f"A {edit.start} {edit.end}|||{type_str}|||{replacement}"

@@ -78,42 +78,51 @@ def _score(overlap: int, n_ref: int, n_hyp: int, config: RewardConfig) -> float:
     return overlap / (n_ref + n_hyp - overlap)  # jaccard
 
 
-@lru_cache(maxsize=4096)
-def _row(n_ref: int, n_hyp: int, kind: str, beta: float) -> tuple[float, ...]:
-    """``_score`` at every overlap ``0 .. min(n_ref, n_hyp)``: the only overlaps
-    a reference of ``n_ref`` and a hypothesis of ``n_hyp`` distinct edits can
-    share, and all with a non-zero denominator."""
-    config = RewardConfig(kind, beta)
-    return tuple(
-        _score(overlap, n_ref, n_hyp, config) for overlap in range(min(n_ref, n_hyp) + 1)
-    )
+# 256: a combine call reads one table per hypothesis size, at most 28 on the bench corpora.
+@lru_cache(maxsize=256)
+class _RowTable(dict):
+    """The ``_score`` rows of one ``(n_hyp, kind, beta)``, keyed by reference
+    size ``n_ref``: the reward at every overlap ``0 .. min(n_ref, n_hyp)``, the
+    only overlaps the two can share, all with a non-zero denominator.  A row
+    is built on its first lookup, and the cache holds one table per key."""
+
+    __slots__ = ("n_hyp", "config")
+
+    def __init__(self, n_hyp: int, kind: str, beta: float) -> None:
+        self.n_hyp, self.config = n_hyp, RewardConfig(kind, beta)
+
+    def __missing__(self, n_ref: int) -> tuple[float, ...]:
+        n_hyp, config = self.n_hyp, self.config
+        scores = (_score(overlap, n_ref, n_hyp, config) for overlap in range(min(n_ref, n_hyp) + 1))
+        return self.setdefault(n_ref, tuple(scores))
 
 
 class RewardSet:
-    """One sentence's reward set as edit bitmasks and cached reward rows.
+    """One sentence's reward set as edit bitmasks and member sizes.
 
     The members are an ``EditIndex``'s systems plus any ``extra`` members
     given as masks of that index's bits (the vote sets, whose edits are all
     system edits).  The index is the one place edits get bits: a caller with
     a list of edit sets indexes it first (``RewardSet(EditIndex(sets))``).
     Every member edit has a bit, so a member is just its mask and its size
-    the mask's popcount; a hypothesis shares ``popcount(h & r)`` edits with
-    it.  A hypothesis edit no member holds has no bit and counts only in its
-    size.  For each hypothesis size and config the table keeps one row per
-    member (``_row``: that member's reward at every possible overlap), so a
-    candidate is scored by indexing rows with overlaps, all in C.  A row
-    entry is the ``_score`` value for the same arguments, and ``math.fsum``
-    sums the same terms in member order, so every float is the one scoring
-    each member directly gives.
+    the mask's popcount, taken once here; a hypothesis shares
+    ``popcount(h & r)`` edits with it.  A hypothesis edit no member holds has
+    no bit and counts only in its size.  A candidate is scored by looking up
+    each member's row by its size in the shared ``_RowTable`` of the
+    hypothesis size and config (that member's reward at every possible
+    overlap) and indexing it with the overlap, all in C.  A row entry is the
+    ``_score`` value for the same arguments, and ``math.fsum`` sums the same
+    terms in member order, so every float is the one scoring each member
+    directly gives.  Nothing changes after construction.
     """
 
-    __slots__ = ("source_len", "_bits", "_refs", "_rows")
+    __slots__ = ("source_len", "_bits", "_refs", "_sizes")
 
     def __init__(self, index: EditIndex, extra: Iterable[int] = ()) -> None:
         self.source_len = index.source_len
         self._bits = index.bits
         self._refs = (*index.masks, *extra)
-        self._rows: dict[tuple[int, str, float], list[tuple[float, ...]]] = {}
+        self._sizes = tuple(map(int.bit_count, self._refs))
 
     def bit(self, edit: Edit) -> int:
         """The bit of ``edit``, or 0 when no member holds it."""
@@ -129,21 +138,12 @@ class RewardSet:
         """How many of the bits in ``mask`` each member holds, in member order."""
         return list(map(int.bit_count, map(mask.__and__, self._refs)))
 
-    def _member_rows(self, n_hyp: int, config: RewardConfig) -> list[tuple[float, ...]]:
-        key = (n_hyp, config.kind, config.beta)
-        rows = self._rows.get(key)
-        if rows is None:
-            rows = self._rows[key] = [
-                _row(ref.bit_count(), n_hyp, config.kind, config.beta) for ref in self._refs
-            ]
-        return rows
-
     def expected(self, mask: int, n_hyp: int, config: RewardConfig) -> float:
         """Mean reward of a hypothesis of ``n_hyp`` edits, ``mask`` of them held
         by some member, against every member (``math.fsum`` in member order)."""
-        rows = self._member_rows(n_hyp, config)
+        rows = map(_RowTable(n_hyp, config.kind, config.beta).__getitem__, self._sizes)
         overlaps = map(int.bit_count, map(mask.__and__, self._refs))
-        return math.fsum(map(getitem, rows, overlaps)) / len(rows)
+        return math.fsum(map(getitem, rows, overlaps)) / len(self._sizes)
 
     def expected_insertions(
         self,
@@ -160,7 +160,7 @@ class RewardSet:
         new edit is not yet in the hypothesis, so the two add up to the
         overlaps after insertion.
         """
-        rows = self._member_rows(n_hyp, config)
+        rows = list(map(_RowTable(n_hyp, config.kind, config.beta).__getitem__, self._sizes))
         k = len(rows)
         return [math.fsum(map(getitem, rows, map(add, overlaps, held))) / k for held in holders]
 

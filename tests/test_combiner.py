@@ -429,3 +429,13 @@ class TestCombineConfig:
         with pytest.raises(ValueError) as info:
             CombineConfig(strategy="greedy", greedy_pool_threshold=threshold)
         assert str(info.value) == f"greedy_pool_threshold must be an int, got {threshold!r}"
+
+    @pytest.mark.parametrize("reward", ["f", None, 0.5])
+    def test_rejects_a_reward_that_is_not_a_reward_config(self, reward):
+        with pytest.raises(ValidationError) as info:
+            CombineConfig(reward=reward)
+        assert str(info.value) == f"reward must be a RewardConfig, got {reward!r}"
+
+    def test_reward_is_checked_after_the_other_fields(self):
+        with pytest.raises(ValueError, match="^greedy_pool_threshold must be >= 1$"):
+            CombineConfig(reward="f", greedy_pool_threshold=0)

@@ -568,7 +568,7 @@ class TestEmit:
         with pytest.raises(ValidationError, match="^entry 2: replacement .* cannot be written"):
             emit_m2(entries)
 
-    @pytest.mark.parametrize("type_str", ["R:NOUN|||x", "|||", "R:NOUN\nA", "x\n", "R:NOUN|"])
+    @pytest.mark.parametrize("type_str", ["R:NOUN|||x", "|||", "R:NOUN\nA", "x\n", "R:NOUN|", 5])
     def test_refuses_type_m2_cannot_hold(self, type_str):
         plain = Annotation(0, EditSet(3, (B,)))
         bad = Annotation(0, EditSet(3, (B,)), (type_str,))
@@ -631,6 +631,23 @@ class TestAnnotationTypes:
             assert str(info.value) == "annotator id must be >= 0"
         else:
             assert str(info.value) == f"annotator id must be an int, got {annotator!r}"
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Annotation(0, "x"), "annotation edits must be an EditSet, got 'x'"),
+            (lambda: M2Entry("a b c", ()), "entry source must be a Sentence, got 'a b c'"),
+            (
+                lambda: M2Entry(tokenize("a b c"), (Annotation(0, EditSet(3)), "x")),
+                "entry annotation must be an Annotation, got 'x'",
+            ),
+        ],
+    )
+    def test_parts_of_the_wrong_type_are_refused(self, build, message):
+        # Each of these once built and failed later with a bare AttributeError.
+        with pytest.raises(ValidationError) as info:
+            build()
+        assert str(info.value) == message
 
     def test_duplicate_annotators_rejected(self):
         with pytest.raises(ValidationError):

@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+import threading
 from decimal import Decimal
 from fractions import Fraction
 
@@ -9,8 +11,18 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import bf_conflicts, bf_expected, bf_reward, bf_vote_set, random_edit_set
-from edit_mbr.edit_core import Edit, EditIndex, EditSet, ValidationError
+from conftest import (
+    bf_conflicts,
+    bf_expected,
+    bf_reward,
+    bf_vote_set,
+    random_edit_set,
+    random_sentence,
+    random_systems,
+)
+from edit_mbr import rewards
+from edit_mbr.combiner import CombineConfig, combine_corpus
+from edit_mbr.edit_core import CorpusEntry, Edit, EditIndex, EditSet, ValidationError
 from edit_mbr.rewards import (
     BETA_MAX,
     BETA_MIN,
@@ -342,12 +354,15 @@ class TestRewardRows:
     CONFIGS = [
         RewardConfig(kind=kind, beta=beta)
         for kind in REWARD_KINDS
-        for beta in (0.3, 0.5, 1.0, 2.0)
+        # An int beta shares its row table with the equal float (one cache
+        # key); listing 1 before 1.0 and 2.0 before 2 builds it from each.
+        for beta in (0.3, 0.5, 1, 1.0, 2.0, 2)
     ]
 
     def test_interleaved_configs_on_one_table_match_brute_force_exactly(self):
         # One table scored under every config in turn, twice over, so a row
         # cached for one (size, kind, beta) is looked up again under the others.
+        rewards._RowTable.cache_clear()
         rng = random.Random(53)
         for _ in range(100):
             source_len = rng.randint(0, 10)
@@ -383,3 +398,42 @@ class TestRewardRows:
                 ]
                 assert got == want
 
+
+class TestSharedRowTables:
+    def test_threads_combining_at_once_match_the_serial_results(self):
+        # Every RewardSet of the process reads the same row tables.  In each
+        # round four threads start together on emptied tables, combine one
+        # corpus and switch as often as the interpreter allows, so the same
+        # rows are built and read by several threads at once.
+        rng = random.Random(61)
+        corpus = []
+        for _ in range(12):
+            source = random_sentence(rng, 1, 12, vocab=9)
+            corpus.append(CorpusEntry(source, tuple(random_systems(rng, len(source), 4))))
+        configs = [
+            CombineConfig(
+                strategy="greedy", reward=RewardConfig(kind=kind), reward_set="base+votes"
+            )
+            for kind in REWARD_KINDS
+        ]
+        rewards._RowTable.cache_clear()
+        want = [combine_corpus(corpus, config) for config in configs]
+        barrier = threading.Barrier(4, action=rewards._RowTable.cache_clear, timeout=60)
+        got = []
+
+        def combine():
+            for _ in range(20):
+                barrier.wait()
+                got.append([combine_corpus(corpus, config) for config in configs])
+
+        threads = [threading.Thread(target=combine) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [want] * 80
