@@ -12,14 +12,14 @@ masks, the reward table and the greedy pool all come from that one index.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field, replace
 from operator import add
 
 from .edit_core import (
     Candidate,
+    Checked,
     CorpusEntry,
-    Edit,
     EditIndex,
     EditSet,
     ValidationError,
@@ -34,8 +34,9 @@ STRATEGIES = ("mbr", "mbr-vote", "greedy")
 REWARD_SET_SPECS = ("base", "base+votes")
 
 
-@dataclass(frozen=True, slots=True)
-class CombineConfig:
+class CombineConfig(
+    Checked, namedtuple("CombineConfig", "strategy reward reward_set greedy_pool_threshold")
+):
     """Strategy, reward, and candidate-set composition for one combination run.
 
     ``reward_set`` picks the candidates the expected reward is averaged over:
@@ -45,36 +46,31 @@ class CombineConfig:
     to the system count at use.
     """
 
-    strategy: str = "mbr"
-    reward: RewardConfig = field(default_factory=RewardConfig)
-    reward_set: str = "base"
-    greedy_pool_threshold: int = 2
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_choice(self.strategy, "strategy", STRATEGIES)
-        check_choice(self.reward_set, "reward set", REWARD_SET_SPECS)
-        check_int(self.greedy_pool_threshold, "greedy_pool_threshold", 1)
-        if not isinstance(self.reward, RewardConfig):
-            raise ValidationError(f"reward must be a RewardConfig, got {self.reward!r}")
+    def __new__(
+        cls, strategy="mbr", reward=RewardConfig(), reward_set="base", greedy_pool_threshold=2
+    ) -> CombineConfig:
+        check_choice(strategy, "strategy", STRATEGIES)
+        check_choice(reward_set, "reward set", REWARD_SET_SPECS)
+        check_int(greedy_pool_threshold, "greedy_pool_threshold", 1)
+        if not isinstance(reward, RewardConfig):
+            raise ValidationError(f"reward must be a RewardConfig, got {reward!r}")
+        return tuple.__new__(cls, (strategy, reward, reward_set, greedy_pool_threshold))
 
 
-@dataclass(frozen=True, slots=True)
-class GreedyStep:
+class GreedyStep(namedtuple("GreedyStep", "edit reward_before reward_after")):
     """One committed greedy insertion with the objective before and after."""
 
-    edit: Edit
-    reward_before: float
-    reward_after: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class CombineResult:
+class CombineResult(
+    namedtuple("CombineResult", "chosen selection expected_rewards trace", defaults=((),))
+):
     """Chosen candidate, the selection set it won over, and per-candidate scores."""
 
-    chosen: Candidate
-    selection: tuple[Candidate, ...]
-    expected_rewards: tuple[float, ...]
-    trace: tuple[GreedyStep, ...] = ()
+    __slots__ = ()
 
 
 def mbr_select(
@@ -167,7 +163,7 @@ def combine_sentence(systems: Sequence[Candidate], config: CombineConfig) -> Com
         size, current = size + 1, scores[best]
     grown = EditSet(working.source_len, working.edits + tuple(step.edit for step in trace))
     result = mbr_select(selection + [Candidate(grown, "greedy")], table, config)
-    return replace(result, trace=tuple(trace))
+    return CombineResult(result.chosen, result.selection, result.expected_rewards, tuple(trace))
 
 
 def combine_corpus(

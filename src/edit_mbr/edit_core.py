@@ -12,13 +12,25 @@ views of it.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
-from operator import itemgetter
 
 
 class ValidationError(ValueError):
     """A sentence, edit, edit set, or checked field violates its contract."""
+
+
+class Checked:
+    """The first base of a record (a ``namedtuple`` subclass) whose ``__new__``
+    checks its fields.  A namedtuple's own ``_make`` calls ``tuple.__new__``,
+    and its ``_replace`` calls ``_make``; this ``_make`` builds through the
+    record's ``__new__``, so neither skips the checks."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields: Iterable):
+        return cls(*fields)
 
 
 def _check_token(token: str) -> None:
@@ -90,7 +102,7 @@ def tokenize(text: str) -> Sentence:
     return Sentence(text.split())
 
 
-class Edit(tuple):
+class Edit(Checked, namedtuple("Edit", "start end replacement")):
     """Replace source tokens [start, end) with ``replacement``.
 
     ``start == end`` is a pure insertion before token ``start``; an empty
@@ -114,16 +126,6 @@ class Edit(tuple):
             raise ValidationError("zero-width edit with empty replacement is a no-op")
         _check_tokens(replacement)
         return tuple.__new__(cls, (start, end, replacement))
-
-    start = property(itemgetter(0))
-    end = property(itemgetter(1))
-    replacement = property(itemgetter(2))
-
-    def __repr__(self) -> str:
-        return f"Edit(start={self[0]!r}, end={self[1]!r}, replacement={self[2]!r})"
-
-    def __getnewargs__(self) -> tuple:
-        return tuple(self)
 
 
 def _mask(edit: Edit) -> int:
@@ -151,14 +153,17 @@ def conflicts(first: Edit, second: Edit) -> bool:
     return first != second and bool(_mask(first) & _mask(second))
 
 
-@dataclass(frozen=True, slots=True)
 class EditSet:
-    """Canonical, conflict-free edit collection for a source of ``source_len`` tokens."""
+    """Canonical, conflict-free edit collection for a source of ``source_len`` tokens.
 
-    source_len: int
-    edits: tuple[Edit, ...] = ()
+    Immutable: ``source_len`` and ``edits`` are set once, by the checks.  Two
+    edit sets are equal (and hash alike) when both fields are; an edit set
+    never equals a value of another type.
+    """
 
-    def __post_init__(self) -> None:
+    __slots__ = ("source_len", "edits")
+
+    def __init__(self, source_len: int, edits: Iterable[Edit] = ()) -> None:
         """Sort the edits, drop duplicates, and check range and conflicts.
 
         In span order an edit's ``_mask`` bits start no lower than those of
@@ -172,9 +177,8 @@ class EditSet:
         An item that is not an ``Edit`` (a bare tuple, say) skipped
         ``Edit``'s checks, so it is refused before anything is sorted.
         """
-        source_len = self.source_len
         check_int(source_len, "source_len", 0)
-        edits = tuple(self.edits)
+        edits = tuple(edits)
         for edit in edits:
             if not isinstance(edit, Edit):
                 raise ValidationError(f"edit set item is not an Edit: {edit!r}")
@@ -192,11 +196,33 @@ class EditSet:
                     clash = edit
             kept.append(edit)
             prev, prev_start, prev_end = edit, start, end
-        object.__setattr__(self, "edits", tuple(kept))
         if clash is not None:
             # The earliest edit that clashes with the first clashing one.
             partner = next(e for e in kept if conflicts(e, clash))
             raise ValidationError(f"conflicting edits: {partner!r} vs {clash!r}")
+        object.__setattr__(self, "source_len", source_len)
+        object.__setattr__(self, "edits", tuple(kept))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.source_len == other.source_len and self.edits == other.edits
+
+    def __hash__(self) -> int:
+        return hash((self.source_len, self.edits))
+
+    def __repr__(self) -> str:
+        return f"EditSet(source_len={self.source_len!r}, edits={self.edits!r})"
+
+    def __reduce__(self):
+        # Copies and unpickled values are rebuilt, and so checked, by ``__init__``.
+        return self.__class__, (self.source_len, self.edits)
 
     def __len__(self) -> int:
         return len(self.edits)
@@ -228,26 +254,34 @@ def check_source_len(source_len: int, edit_set: EditSet) -> None:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class Candidate:
+class Candidate(Checked, namedtuple("Candidate", "edit_set label")):
     """An edit set plus a provenance label (system name, vote-m, greedy)."""
 
-    edit_set: EditSet
-    label: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.edit_set, EditSet):
-            raise ValidationError(f"candidate edit set must be an EditSet, got {self.edit_set!r}")
-        if not isinstance(self.label, str) or not self.label:
-            raise ValidationError(f"candidate label must be a non-empty str, got {self.label!r}")
+    def __new__(cls, edit_set: EditSet, label: str) -> Candidate:
+        if not isinstance(edit_set, EditSet):
+            raise ValidationError(f"candidate edit set must be an EditSet, got {edit_set!r}")
+        if not isinstance(label, str) or not label:
+            raise ValidationError(f"candidate label must be a non-empty str, got {label!r}")
+        return tuple.__new__(cls, (edit_set, label))
 
 
-@dataclass(frozen=True, slots=True)
-class CorpusEntry:
-    """One source sentence with its per-system hypothesis candidates."""
+class CorpusEntry(Checked, namedtuple("CorpusEntry", "source systems")):
+    """One source sentence with its per-system hypothesis candidates, each
+    built for the source's length."""
 
-    source: Sentence
-    systems: tuple[Candidate, ...]
+    __slots__ = ()
+
+    def __new__(cls, source: Sentence, systems: Iterable[Candidate]) -> CorpusEntry:
+        if not isinstance(source, Sentence):
+            raise ValidationError(f"entry source must be a Sentence, got {source!r}")
+        systems = tuple(systems)
+        for candidate in systems:
+            if not isinstance(candidate, Candidate):
+                raise ValidationError(f"entry system must be a Candidate, got {candidate!r}")
+            check_source_len(len(source), candidate.edit_set)
+        return tuple.__new__(cls, (source, systems))
 
 
 def apply_edits(source: Sentence, edits: EditSet) -> Sentence:

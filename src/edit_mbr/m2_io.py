@@ -33,13 +33,14 @@ word, not one per token.  Every token is still checked by ``Sentence`` and
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import repeat
 from pathlib import Path
 
 from .edit_core import (
     Candidate,
+    Checked,
     CorpusEntry,
     Edit,
     EditSet,
@@ -61,49 +62,47 @@ class M2ParseError(ValidationError):
     """An M2 file is malformed or fails edit-set validation."""
 
 
-@dataclass(frozen=True, slots=True)
-class Annotation:
+class Annotation(Checked, namedtuple("Annotation", "annotator edits types")):
     """One annotator's edit set; ``types`` carries per-edit type strings.
 
     Omitting ``types`` fills in ``UNK`` for every edit.
     """
 
-    annotator: int
-    edits: EditSet
-    types: tuple[str, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_int(self.annotator, "annotator id", 0)
-        if not isinstance(self.edits, EditSet):
-            raise ValidationError(f"annotation edits must be an EditSet, got {self.edits!r}")
-        if not self.types and self.edits.edits:
-            object.__setattr__(self, "types", ("UNK",) * len(self.edits))
-        object.__setattr__(self, "types", tuple(self.types))
-        if len(self.types) != len(self.edits):
+    def __new__(cls, annotator: int, edits: EditSet, types: Iterable[str] = ()) -> Annotation:
+        check_int(annotator, "annotator id", 0)
+        if not isinstance(edits, EditSet):
+            raise ValidationError(f"annotation edits must be an EditSet, got {edits!r}")
+        types = ("UNK",) * len(edits) if not types and edits.edits else tuple(types)
+        if len(types) != len(edits):
             raise ValidationError(
-                f"annotator {self.annotator}: {len(self.types)} type strings for {len(self.edits)} edits"
+                f"annotator {annotator}: {len(types)} type strings for {len(edits)} edits"
             )
+        return tuple.__new__(cls, (annotator, edits, types))
 
 
-@dataclass(frozen=True, slots=True)
-class M2Entry:
-    """A source sentence plus per-annotator edit sets."""
+class M2Entry(Checked, namedtuple("M2Entry", "source annotations")):
+    """A source sentence plus per-annotator edit sets, in strictly ascending
+    annotator id order."""
 
-    source: Sentence
-    annotations: tuple[Annotation, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.source, Sentence):
-            raise ValidationError(f"entry source must be a Sentence, got {self.source!r}")
-        object.__setattr__(self, "annotations", tuple(self.annotations))
-        seen: set[int] = set()
-        for ann in self.annotations:
+    def __new__(cls, source: Sentence, annotations: Iterable[Annotation] = ()) -> M2Entry:
+        if not isinstance(source, Sentence):
+            raise ValidationError(f"entry source must be a Sentence, got {source!r}")
+        annotations = tuple(annotations)
+        previous = -1
+        for ann in annotations:
             if not isinstance(ann, Annotation):
                 raise ValidationError(f"entry annotation must be an Annotation, got {ann!r}")
-            if ann.annotator in seen:
+            if ann.annotator == previous:
                 raise ValidationError(f"duplicate annotator id {ann.annotator}")
-            seen.add(ann.annotator)
-            check_source_len(len(self.source), ann.edits)
+            if ann.annotator < previous:
+                raise ValidationError(f"annotator ids must ascend: {ann.annotator} after {previous}")
+            previous = ann.annotator
+            check_source_len(len(source), ann.edits)
+        return tuple.__new__(cls, (source, annotations))
 
 
 def primary_edit_set(entry: M2Entry) -> EditSet:

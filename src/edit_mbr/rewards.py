@@ -8,13 +8,13 @@ popcount, and a hypothesis's overlap with it the popcount of their AND.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from operator import add, getitem
 
-from .edit_core import Edit, EditIndex, EditSet, check_choice, check_source_len
+from .edit_core import Checked, Edit, EditIndex, EditSet, check_choice, check_source_len
 
 REWARD_KINDS = ("recall", "precision", "f", "f-paper", "jaccard")
 
@@ -36,8 +36,7 @@ def check_beta(beta: float) -> None:
         raise ValueError(f"beta must be between {BETA_MIN:g} and {BETA_MAX:g}, got {beta}")
 
 
-@dataclass(frozen=True, slots=True)
-class RewardConfig:
+class RewardConfig(Checked, namedtuple("RewardConfig", "kind beta")):
     """Reward kind and the F rewards' ``beta``.
 
     ``beta`` weights recall against precision for the F rewards: ``f`` is the
@@ -51,12 +50,12 @@ class RewardConfig:
     [``BETA_MIN``, ``BETA_MAX``], where every F reward is finite.
     """
 
-    kind: str = "f"
-    beta: float = 0.5
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_choice(self.kind, "reward kind", REWARD_KINDS)
-        check_beta(self.beta)
+    def __new__(cls, kind: str = "f", beta: float = 0.5) -> RewardConfig:
+        check_choice(kind, "reward kind", REWARD_KINDS)
+        check_beta(beta)
+        return tuple.__new__(cls, (kind, beta))
 
 
 def _score(overlap: int, n_ref: int, n_hyp: int, config: RewardConfig) -> float:

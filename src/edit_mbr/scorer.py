@@ -9,25 +9,20 @@ matching the reward conventions.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .edit_core import EditSet, check_source_len
 from .rewards import check_beta
 
 
-@dataclass(frozen=True, slots=True)
-class ScoreReport:
-    """Edit counts with derived precision, recall, and F-beta."""
+class ScoreReport(
+    namedtuple("ScoreReport", "tp fp fn precision recall f beta per_sentence", defaults=(None,))
+):
+    """Edit counts with derived precision, recall, and F-beta; a corpus score
+    holds its per-sentence reports in ``per_sentence``."""
 
-    tp: int
-    fp: int
-    fn: int
-    precision: float
-    recall: float
-    f: float
-    beta: float
-    per_sentence: tuple[ScoreReport, ...] | None = None
+    __slots__ = ()
 
 
 def _from_counts(

@@ -868,6 +868,28 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_import_and_parser_load_neither_dataclasses_nor_inspect(self):
+        # The value types are namedtuples and a hand-written EditSet: importing
+        # dataclasses would pull in inspect, ast, dis and tokenize.  Only the
+        # modules the import adds count, since site may load some itself.
+        src = str(Path(edit_mbr.__file__).resolve().parent.parent)
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "from edit_mbr.cli import build_parser\n"
+            "build_parser()\n"
+            "added = set(sys.modules) - before\n"
+            "print('edit_mbr.cli' in added, sorted({'dataclasses', 'inspect'} & added))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "True []"
+
     def test_score_without_a_manifest_does_not_load_openssl(self, tmp_path):
         # hashlib loads OpenSSL through _hashlib; only a digest needs it.
         src = str(Path(edit_mbr.__file__).resolve().parent.parent)

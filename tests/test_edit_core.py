@@ -51,6 +51,25 @@ def es(*edits, source_len=3):
     return EditSet(source_len, tuple(edits))
 
 
+def one_of_each_record():
+    """One value of each value type beyond ``Edit`` and ``Sentence``."""
+    candidate = Candidate(es(B, D), "sys")
+    step = edit_mbr.GreedyStep(D, 0.25, 0.5)
+    annotations = (edit_mbr.Annotation(0, es()), edit_mbr.Annotation(2, es(B, D), ("R", "M")))
+    return (
+        es(B, D),
+        candidate,
+        CorpusEntry(tokenize("a b c"), (candidate, Candidate(es(), "other"))),
+        annotations[1],
+        edit_mbr.M2Entry(tokenize("a b c"), annotations),
+        edit_mbr.RewardConfig("jaccard", 2),
+        edit_mbr.CombineConfig("greedy", edit_mbr.RewardConfig("recall"), "base+votes", 3),
+        step,
+        edit_mbr.CombineResult(candidate, (candidate,), (0.5,), (step,)),
+        edit_mbr.score_corpus([es(B)], [[es(B, D)]]),
+    )
+
+
 token_lists = st.lists(st.sampled_from([f"t{i}" for i in range(6)]), max_size=12)
 
 
@@ -186,6 +205,69 @@ class TestCorpusEntry:
         assert "m2_io" not in modules and "edit_core" in modules
 
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: CorpusEntry("a b", ("x",)), "entry source must be a Sentence, got 'a b'"),
+            (
+                lambda: CorpusEntry(tokenize("a"), (Candidate(es(source_len=1), "s"), "x")),
+                "entry system must be a Candidate, got 'x'",
+            ),
+            (
+                lambda: CorpusEntry(tokenize("a b c d"), (Candidate(es(source_len=2), "s"),)),
+                "edit sets disagree on source length: 4 vs 2",
+            ),
+        ],
+    )
+    def test_refuses_what_cannot_be_combined(self, build, message):
+        # The first two once combined into a bare AttributeError, and the
+        # third combined without error, against the wrong source.
+        with pytest.raises(ValidationError) as info:
+            build()
+        assert str(info.value) == message
+
+    def test_holds_its_systems_as_a_tuple(self):
+        systems = [Candidate(es(B), "a"), Candidate(es(), "b")]
+        entry = CorpusEntry(tokenize("a b c"), iter(systems))
+        assert type(entry.systems) is tuple and entry.systems == tuple(systems)
+        assert entry == (tokenize("a b c"), tuple(systems))
+
+
+class TestRecords:
+    """Every value type beyond ``Sentence`` is a namedtuple subclass, except
+    ``EditSet``; none has a ``__dict__``, and none is built unchecked."""
+
+    def test_no_value_has_a_dict(self):
+        for value in (B, tokenize("a b")) + one_of_each_record():
+            assert not hasattr(value, "__dict__"), type(value)
+            slots = () if isinstance(value, tuple) else ("source_len", "edits")
+            assert vars(type(value))["__slots__"] == slots, type(value)
+
+    @pytest.mark.parametrize(
+        "value, field, bad",
+        [
+            (Edit(0, 1), "start", 2),
+            (Candidate(es(), "sys"), "label", ""),
+            (CorpusEntry(tokenize("a b c"), ()), "systems", (Candidate(es(source_len=2), "s"),)),
+            (edit_mbr.Annotation(0, es(B)), "types", ("R", "M")),
+            (edit_mbr.M2Entry(tokenize("a b c"), ()), "source", "a b c"),
+            (edit_mbr.RewardConfig(), "beta", 0.0),
+            (edit_mbr.CombineConfig(), "strategy", "nope"),
+        ],
+    )
+    def test_replace_and_make_check_as_the_constructor_does(self, value, field, bad):
+        fields = {**value._asdict(), field: bad}
+        with pytest.raises(ValueError) as built:
+            type(value)(**fields)
+        for copy_with_bad_field in (
+            lambda: value._replace(**{field: bad}),
+            lambda: type(value)._make(fields.values()),
+        ):
+            with pytest.raises(ValueError) as info:
+                copy_with_bad_field()
+            assert type(info.value) is type(built.value) and str(info.value) == str(built.value)
+
+
 class TestTokenCheck:
     def test_split_and_isspace_agree_on_every_code_point(self):
         # The premise of _check_tokens: str.split() splits on exactly the
@@ -285,7 +367,8 @@ class TestEditValue:
     )
     def test_pickle_and_copy_round_trip(self, clone):
         values = (Edit(1, 2, ("a",)), Edit(0, 0, ("x", "y")), Edit(2, 4))
-        for value in values + (Sentence(("a", "b")), Sentence(), tokenize("x y z")):
+        values += (Sentence(("a", "b")), Sentence(), tokenize("x y z"))
+        for value in values + one_of_each_record():
             twin = clone(value)
             assert twin == value and type(twin) is type(value)
             assert repr(twin) == repr(value)
@@ -367,6 +450,19 @@ class TestConflicts:
 
 
 class TestEditSet:
+    def test_is_immutable_and_equals_only_edit_sets(self):
+        edit_set = es(B)
+        for name in ("source_len", "edits", "other"):
+            with pytest.raises(AttributeError):
+                setattr(edit_set, name, ())
+            with pytest.raises(AttributeError):
+                delattr(edit_set, name)
+        assert edit_set.source_len == 3 and edit_set.edits == (B,)
+        assert EditSet(0) != (0, ()) and es(B) != (3, (B,)) and es(B) == es(B)
+        assert hash(es(B)) == hash((3, (B,)))
+        shown = "EditSet(source_len=3, edits=(Edit(start=1, end=2, replacement=('B',)),))"
+        assert repr(es(B)) == shown
+
     def test_membership_answers_through_iteration(self):
         assert "__contains__" not in vars(EditSet)
         edit_set = es(B, D)

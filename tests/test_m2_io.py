@@ -660,6 +660,31 @@ class TestAnnotationTypes:
         with pytest.raises(ValidationError):
             M2Entry(tokenize("a b"), (Annotation(0, EditSet(3, (B,))),))
 
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            ((1, 0), "annotator ids must ascend: 0 after 1"),
+            ((0, 0), "duplicate annotator id 0"),
+            ((0, 2, 1), "annotator ids must ascend: 1 after 2"),
+            ((0, 1, 0), "annotator ids must ascend: 0 after 1"),
+            ((2, 2, 0), "duplicate annotator id 2"),
+        ],
+    )
+    def test_annotator_ids_must_strictly_ascend(self, ids, message):
+        # primary_edit_set takes the first annotation for the lowest id, and
+        # emit_m2 writes them in the order held, so an entry out of id order
+        # would not read back as itself.
+        annotations = tuple(Annotation(i, EditSet(3, (B,)) if i else EditSet(3)) for i in ids)
+        with pytest.raises(ValidationError) as info:
+            M2Entry(tokenize("a b c"), annotations)
+        assert str(info.value) == message
+
+    def test_ascending_ids_with_gaps_round_trip(self):
+        annotations = (Annotation(0, EditSet(3)), Annotation(2, EditSet(3, (B,))))
+        entry = M2Entry(tokenize("a b c"), iter(annotations))
+        assert entry.annotations == annotations and primary_edit_set(entry) == EditSet(3)
+        assert parse_m2(emit_m2([entry])) == [entry]
+
 
 class TestLoadParallel:
     def write(self, tmp_path, name, lines):
