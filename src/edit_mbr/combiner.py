@@ -161,7 +161,9 @@ def combine_sentence(systems: Sequence[Candidate], config: CombineConfig) -> Com
         trace.append(GreedyStep(pool.pop(best), current, scores[best]))
         overlaps = list(map(add, overlaps, holders.pop(best)))
         size, current = size + 1, scores[best]
-    grown = EditSet(working.source_len, working.edits + tuple(step.edit for step in trace))
+    # Distinct edits of the one conflict-free threshold vote set.
+    grown_edits = tuple(sorted(working.edits + tuple(step.edit for step in trace)))
+    grown = EditSet._of(working.source_len, grown_edits)
     result = mbr_select(selection + [Candidate(grown, "greedy")], table, config)
     return CombineResult(result.chosen, result.selection, result.expected_rewards, tuple(trace))
 

@@ -8,6 +8,11 @@ of a sentence.  A sentence's system edit sets are indexed once
 conflict-resolution pass over that index (``EditIndex.resolve``) yields the
 vote set and its mask at every threshold; ``vote_set`` and ``intersect`` are
 views of it.
+
+``Sentence``, ``Edit`` and ``EditSet`` each have one unchecked builder,
+``_of``, with the public constructor's arguments.  It is called only where
+every check of that constructor holds by construction, with a comment saying
+why; ``tests/test_unchecked.py`` lists every such call.
 """
 
 from __future__ import annotations
@@ -88,6 +93,9 @@ class Sentence(tuple):
         _check_tokens(tokens)
         return tuple.__new__(cls, tokens)
 
+    # Unchecked: ``tokens`` must be non-empty, whitespace-free ``str``s.
+    _of = classmethod(tuple.__new__)
+
     tokens = property(tuple)
 
     def __repr__(self) -> str:
@@ -98,8 +106,12 @@ class Sentence(tuple):
 
 
 def tokenize(text: str) -> Sentence:
-    """Split a raw line on runs of whitespace; an empty line gives an empty sentence."""
-    return Sentence(text.split())
+    """Split a raw line on runs of whitespace; an empty line gives an empty
+    sentence; ``ValidationError`` unless ``text`` is a ``str``."""
+    if not isinstance(text, str):
+        raise ValidationError(f"text to tokenize is not a str: {text!r}")
+    # ``str.split()`` yields only non-empty, whitespace-free ``str``s.
+    return Sentence._of(str.split(text))
 
 
 class Edit(Checked, namedtuple("Edit", "start end replacement")):
@@ -125,6 +137,12 @@ class Edit(Checked, namedtuple("Edit", "start end replacement")):
         if start == end and not replacement:
             raise ValidationError("zero-width edit with empty replacement is a no-op")
         _check_tokens(replacement)
+        return tuple.__new__(cls, (start, end, replacement))
+
+    @classmethod
+    def _of(cls, start: int, end: int, replacement: tuple[str, ...]) -> Edit:
+        """Unchecked: ``0 <= start <= end``, not a no-op, and ``replacement``
+        a tuple of valid tokens."""
         return tuple.__new__(cls, (start, end, replacement))
 
 
@@ -156,9 +174,10 @@ def conflicts(first: Edit, second: Edit) -> bool:
 class EditSet:
     """Canonical, conflict-free edit collection for a source of ``source_len`` tokens.
 
-    Immutable: ``source_len`` and ``edits`` are set once, by the checks.  Two
-    edit sets are equal (and hash alike) when both fields are; an edit set
-    never equals a value of another type.
+    Immutable: ``source_len`` and ``edits`` are set once, by the checks (or
+    by ``_of``, where they hold by construction).  Two edit sets are equal
+    (and hash alike) when both fields are; an edit set never equals a value
+    of another type.
     """
 
     __slots__ = ("source_len", "edits")
@@ -202,6 +221,15 @@ class EditSet:
             raise ValidationError(f"conflicting edits: {partner!r} vs {clash!r}")
         object.__setattr__(self, "source_len", source_len)
         object.__setattr__(self, "edits", tuple(kept))
+
+    @classmethod
+    def _of(cls, source_len: int, edits: tuple[Edit, ...]) -> EditSet:
+        """Unchecked: ``source_len`` an ``int`` >= 0 and ``edits`` a tuple of
+        distinct, conflict-free ``Edit``s within it, in sorted order."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "source_len", source_len)
+        object.__setattr__(self, "edits", edits)
+        return self
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -287,11 +315,16 @@ class CorpusEntry(Checked, namedtuple("CorpusEntry", "source systems")):
 def apply_edits(source: Sentence, edits: EditSet) -> Sentence:
     """Apply an edit set to its source sentence.
 
-    Unedited spans and replacements are concatenated left to right.  The edit
-    set must have been built for a source of this length (``check_source_len``);
-    internal validity (ordering, no conflicts, spans in range) is guaranteed
-    by ``EditSet``.
+    Unedited spans and replacements are concatenated left to right.  A
+    ``source`` that is not a ``Sentence`` (a list or tuple of tokens, say) is
+    checked by ``Sentence`` first.  ``edits`` must be an ``EditSet`` built for
+    a source of this length (``check_source_len``); internal validity
+    (ordering, no conflicts, spans in range) is guaranteed by ``EditSet``.
     """
+    if type(source) is not Sentence:
+        source = Sentence(source)
+    if not isinstance(edits, EditSet):
+        raise ValidationError(f"edits must be an EditSet, got {edits!r}")
     check_source_len(len(source), edits)
     out: list[str] = []
     cursor = 0
@@ -300,7 +333,8 @@ def apply_edits(source: Sentence, edits: EditSet) -> Sentence:
         out.extend(replacement)
         cursor = end
     out.extend(source[cursor:])
-    return Sentence(tuple(out))
+    # Every token is the source's or a checked edit's.
+    return Sentence._of(out)
 
 
 def extract_edits(source: Sentence, hypothesis: Sentence) -> EditSet:
@@ -333,7 +367,15 @@ def extract_edits(source: Sentence, hypothesis: Sentence) -> EditSet:
     every remaining step is a match.  With ``p == 0`` this is the walk along
     row 0 or down column 0.  The column vectors count rows and columns from
     ``p``: bit ``i - p - 1`` of ``vps[j - p]`` stands for cell ``(i, j)``.
+
+    A ``source`` or ``hypothesis`` that is not a ``Sentence`` (a list or
+    tuple of tokens, say) is checked by ``Sentence`` first, so a bad token is
+    refused even where the two agree.
     """
+    if type(source) is not Sentence:
+        source = Sentence(source)
+    if type(hypothesis) is not Sentence:
+        hypothesis = Sentence(hypothesis)
     src, hyp = source, hypothesis
     n, m = len(src), len(hyp)
     while n and m and src[n - 1] == hyp[m - 1]:
@@ -372,7 +414,9 @@ def extract_edits(source: Sentence, hypothesis: Sentence) -> EditSet:
         # optimal path; an insertion is what is left when no other step is.
         if i and j and src[i - 1] == hyp[j - 1]:
             if run_end is not None:
-                edits.append(Edit(i, run_end[0], hyp[j : run_end[1]]))
+                # A run holds a non-match step, so it is no no-op; ``hyp``'s
+                # slice is a tuple of checked tokens.
+                edits.append(Edit._of(i, run_end[0], hyp[j : run_end[1]]))
                 run_end = None
             i -= 1
             j -= 1
@@ -394,8 +438,12 @@ def extract_edits(source: Sentence, hypothesis: Sentence) -> EditSet:
         else:  # insert
             j -= 1
     if run_end is not None:
-        edits.append(Edit(i, run_end[0], hyp[j : run_end[1]]))
-    return EditSet(len(source), tuple(edits))
+        # As above: a non-empty run, replacement sliced from ``hyp``.
+        edits.append(Edit._of(i, run_end[0], hyp[j : run_end[1]]))
+    # The runs came last first; a match step separates each from the next,
+    # so reversed they are in range, sorted, disjoint and never touching.
+    edits.reverse()
+    return EditSet._of(len(source), tuple(edits))
 
 
 class EditIndex:
@@ -415,6 +463,9 @@ class EditIndex:
     def __init__(self, sets: Sequence[EditSet]) -> None:
         if not sets:
             raise ValueError("need at least one edit set")
+        for edit_set in sets:
+            if not isinstance(edit_set, EditSet):
+                raise ValidationError(f"indexed item is not an EditSet: {edit_set!r}")
         self.source_len = sets[0].source_len
         bits: dict[Edit, int] = {}
         self.bits, self.masks = bits, []
@@ -460,7 +511,10 @@ class EditIndex:
                     occupied |= span
                     kept_mask |= low
             if kept_mask != by_threshold[-1][1]:
-                by_threshold.append((EditSet(self.source_len, tuple(kept)), kept_mask))
+                # Distinct checked edits of this source; the occupancy mask
+                # keeps them conflict-free.
+                vote = EditSet._of(self.source_len, tuple(sorted(kept)))
+                by_threshold.append((vote, kept_mask))
             else:
                 by_threshold.append(by_threshold[-1])
         return by_threshold[:0:-1]

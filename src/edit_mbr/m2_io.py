@@ -26,8 +26,9 @@ they only separate tokens.
 Both readers split the text a block of lines at a time, never into a list
 of every line, and give equal tokens of one file (or of one ``parse_m2``
 call) one shared ``str`` object, so a corpus costs one object per distinct
-word, not one per token.  Every token is still checked by ``Sentence`` and
-``Edit``.
+word, not one per token.  Sentences are built unchecked (``Sentence._of``):
+``str.split`` yields only valid tokens.  Edits and edit sets of ``A`` lines
+are still checked by ``Edit`` and ``EditSet``.
 """
 
 from __future__ import annotations
@@ -65,7 +66,8 @@ class M2ParseError(ValidationError):
 class Annotation(Checked, namedtuple("Annotation", "annotator edits types")):
     """One annotator's edit set; ``types`` carries per-edit type strings.
 
-    Omitting ``types`` fills in ``UNK`` for every edit.
+    Omitting ``types`` fills in ``UNK`` for every edit; one ``str`` is refused,
+    not split into characters.
     """
 
     __slots__ = ()
@@ -74,6 +76,8 @@ class Annotation(Checked, namedtuple("Annotation", "annotator edits types")):
         check_int(annotator, "annotator id", 0)
         if not isinstance(edits, EditSet):
             raise ValidationError(f"annotation edits must be an EditSet, got {edits!r}")
+        if isinstance(types, str):
+            raise ValidationError(f"types is a str, not a sequence of type strings: {types!r}")
         types = ("UNK",) * len(edits) if not types and edits.edits else tuple(types)
         if len(types) != len(edits):
             raise ValidationError(
@@ -288,7 +292,8 @@ def parse_m2(
                 source = sources[index]
             else:
                 tokens = line[2:].split()
-                source = Sentence(tuple(map(word, tokens, tokens)))
+                # ``str.split`` tokens, or equal ones interned from it.
+                source = Sentence._of(map(word, tokens, tokens))
             source_len = len(source)
             entry_line = line_no
             # Valid edit lines: text before the last '|||' -> (edit, type).
@@ -350,8 +355,9 @@ def load_sentences(path) -> list[Sentence]:
     """
     words: dict[str, str] = {}
     word = words.setdefault
+    # ``str.split`` tokens, or equal ones interned from it.
     return [
-        Sentence(tuple(map(word, tokens, tokens)))
+        Sentence._of(map(word, tokens, tokens))
         for tokens in map(str.split, _lines(_read_text(path)))
     ]
 

@@ -34,11 +34,17 @@ import random
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import settings
 
 from edit_mbr import m2_io
 from edit_mbr.combiner import CombineResult, GreedyStep
 from edit_mbr.edit_core import Candidate, Edit, EditSet, Sentence, ValidationError
 from edit_mbr.m2_io import _EMPTY_REPLACEMENT, Annotation, M2Entry, M2ParseError
+
+# ``pytest --hypothesis-profile thorough`` gives every property test that
+# leaves ``max_examples`` at its default ten times the examples; CI runs
+# ``test_unchecked.py`` under it.
+settings.register_profile("thorough", max_examples=1000)
 
 
 @pytest.fixture
