@@ -14,7 +14,9 @@ span order, ``UNK`` for untyped edits), so parse(emit(x)) == x and canonical
 files re-emit byte-identically.  A replacement or type that M2 cannot hold
 is refused on emission: one containing ``|||`` or a line break, one ending in
 ``|`` (which would join the separator after it), or the lone replacement
-token ``-NONE-``.
+token ``-NONE-``.  The span and annotator id hold ASCII digits after at most
+one ``-``: other forms ``int`` takes (``+1``, ``1_0``, non-ASCII digits) are
+refused.
 
 Plain-text corpora hold one tokenized sentence per line, UTF-8.  Both formats
 drop one leading byte-order mark (U+FEFF) from a file, so a file saved with a
@@ -27,8 +29,11 @@ Both readers split the text a block of lines at a time, never into a list
 of every line, and give equal tokens of one file (or of one ``parse_m2``
 call) one shared ``str`` object, so a corpus costs one object per distinct
 word, not one per token.  Sentences are built unchecked (``Sentence._of``):
-``str.split`` yields only valid tokens.  Edits and edit sets of ``A`` lines
-are still checked by ``Edit`` and ``EditSet``.
+``str.split`` yields only valid tokens.  ``parse_m2`` runs the checks of an
+``A`` line's edit itself (field syntax, span range, no no-op) and builds it
+unchecked (``Edit._of``); each annotator's edits are still checked by
+``EditSet``, the conflict check, and its annotations and entries are built
+unchecked (``Annotation._of``, ``M2Entry._of``).
 """
 
 from __future__ import annotations
@@ -55,6 +60,8 @@ from .edit_core import (
 _NOOP_TYPE = "noop"
 _EMPTY_REPLACEMENT = "-NONE-"
 _BLOCK = 1 << 14  # characters ``_lines`` splits at once
+# An M2 integer field: ASCII digits after one optional '-', not all ``int`` takes.
+_INTEGER = re.compile(r"-?[0-9]+")
 # Labels the combiner gives its own candidates; a system file may not take one.
 _COMBINER_LABEL = re.compile(r"greedy|vote-[0-9]+")
 
@@ -85,6 +92,12 @@ class Annotation(Checked, namedtuple("Annotation", "annotator edits types")):
             )
         return tuple.__new__(cls, (annotator, edits, types))
 
+    @classmethod
+    def _of(cls, annotator: int, edits: EditSet, types: tuple[str, ...]) -> Annotation:
+        """Unchecked: ``annotator`` an ``int`` >= 0 and ``types`` a tuple of
+        one ``str`` per edit of ``edits``."""
+        return tuple.__new__(cls, (annotator, edits, types))
+
 
 class M2Entry(Checked, namedtuple("M2Entry", "source annotations")):
     """A source sentence plus per-annotator edit sets, in strictly ascending
@@ -106,6 +119,12 @@ class M2Entry(Checked, namedtuple("M2Entry", "source annotations")):
                 raise ValidationError(f"annotator ids must ascend: {ann.annotator} after {previous}")
             previous = ann.annotator
             check_source_len(len(source), ann.edits)
+        return tuple.__new__(cls, (source, annotations))
+
+    @classmethod
+    def _of(cls, source: Sentence, annotations: tuple[Annotation, ...]) -> M2Entry:
+        """Unchecked: ``annotations`` a tuple of ``Annotation``s in strictly
+        ascending annotator order, each built for ``len(source)`` tokens."""
         return tuple.__new__(cls, (source, annotations))
 
 
@@ -138,12 +157,20 @@ def _lines(text: str) -> Iterator[str]:
     yield from tail
 
 
+def _integers(texts: list[str], line_no: int, what: str) -> list[int]:
+    """The integers ``texts`` hold; ``M2ParseError`` naming ``what`` unless
+    each matches ``_INTEGER`` and has no more digits than ``int`` converts."""
+    if all(map(_INTEGER.fullmatch, texts)):
+        try:
+            return list(map(int, texts))
+        except ValueError:  # more digits than ``sys.get_int_max_str_digits()``
+            pass
+    raise M2ParseError(f"line {line_no}: non-integer {what}")
+
+
 def _annotator_id(field: str, line_no: int) -> int:
     """The annotator id an ``A`` line's last field holds: an integer >= 0."""
-    try:
-        annotator = int(field.strip())
-    except ValueError as exc:
-        raise M2ParseError(f"line {line_no}: non-integer annotator id") from exc
+    [annotator] = _integers([field.strip()], line_no, "annotator id")
     if annotator < 0:
         raise M2ParseError(f"line {line_no}: negative annotator id {annotator}")
     return annotator
@@ -154,10 +181,7 @@ def _span(field: str, line_no: int) -> tuple[int, int]:
     span = field.split()
     if len(span) != 2:
         raise M2ParseError(f"line {line_no}: edit span must be two integers")
-    try:
-        return int(span[0]), int(span[1])
-    except ValueError as exc:
-        raise M2ParseError(f"line {line_no}: non-integer edit span") from exc
+    return tuple(_integers(span, line_no, "edit span"))
 
 
 def parse_m2(
@@ -170,25 +194,34 @@ def parse_m2(
     Raises ``M2ParseError`` (with a line number) for malformed lines,
     out-of-range edit spans, or overlapping edits within one annotator.
 
+    The checks of an edit line are run here, once each: six fields, a span
+    of two integers and an annotator id of at least 0 (``_span``,
+    ``_annotator_id``), ``0 <= start <= end <=`` the source length, and a
+    replacement for a zero-width span.  The ``Edit`` that passes is built
+    unchecked, its replacement being ``str.split`` tokens.  Each annotator's
+    edits are then checked together by ``EditSet``, which refuses conflicts;
+    annotations and entries are built unchecked from what passed.
+
     Each distinct annotation line is validated in full once: a line whose
     text before its last ``|||`` (everything but the annotator id) repeats
     an earlier valid edit line checks only its own annotator field and that
-    the shared ``Edit`` ends within its own entry's source, and shares that
-    ``Edit``.  Every other check of an edit line is independent of the
-    entry, so errors, their line numbers and the entries returned are those
-    of checking every line in full.  ``memo`` is the dict of valid edit
-    lines (text before the last ``|||`` -> (edit, type)): when given, it
-    serves every entry of the call and is left holding the call's lines, so
-    the M2 files of one call that are handed one dict check a line an
-    earlier file held only for its annotator id and range.  ``None`` gives
-    each entry a memo of its own.
+    the shared ``Edit``'s end is within its own entry's source (its stored
+    ``0 <= start <= end`` holds already), and shares that ``Edit``.  Every
+    other check of an edit line is independent of the entry, so errors,
+    their line numbers and the entries returned are those of checking every
+    line in full.  ``memo`` is the dict of valid edit lines (text before the
+    last ``|||`` -> (edit, type)): when given, it serves every entry of the
+    call and is left holding the call's lines, so the M2 files of one call
+    that are handed one dict check a line an earlier file held only for its
+    annotator id and range.  ``None`` gives each entry a memo of its own.
 
     ``sources`` are the sentences the entries are expected to hold, as read
-    by the caller.  When the text of entry k's ``S`` line equals
-    ``sources[k].text()``, the entry reuses that ``Sentence``; any other
-    ``S`` line (another source, other spacing, an entry past the end of
-    ``sources``) builds a fresh one.  Whether the sources match is the
-    caller's check: the entries returned equal those of ``parse_m2(text)``.
+    by the caller.  When ``sources[k]`` is a ``Sentence`` and the text of
+    entry k's ``S`` line equals ``sources[k].text()``, the entry reuses that
+    ``Sentence``; any other ``S`` line (another source, other spacing, an
+    entry past the end of ``sources``) builds a fresh one.  Whether the
+    sources match is the caller's check: the entries returned equal those of
+    ``parse_m2(text)``.
 
     The text is split a block of lines at a time (see ``_lines``).  Equal
     tokens of the call's fresh ``S`` lines and replacements, and equal type
@@ -197,6 +230,9 @@ def parse_m2(
     parsed values.  A field enters its table only once it has passed its
     checks, so a bad field fails at its own line with its own message, and
     a line whose fields are all in the tables is checked without ``int``.
+    A run of ``A`` lines with one annotator field text looks up its id and
+    its edits once; the run ends at a line with another field text, and at
+    every ``S`` and blank line.
     """
     entries: list[M2Entry] = []
     source: Sentence | None = None
@@ -213,24 +249,31 @@ def parse_m2(
     annotators: dict[str, int] = {}
     spans: dict[str, tuple[int, int]] = {}
     replacements: dict[str, tuple[str, ...]] = {_EMPTY_REPLACEMENT: (), "": ()}
+    # The annotator field of the current run of ``A`` lines, and its dict in
+    # ``pending``; ``None`` after each ``S`` and blank line.
+    run_field = edits = None
 
     def close() -> None:
-        nonlocal source, pending
+        nonlocal source, pending, run_field
         if source is None:
             return
         annotations = []
         for annotator in sorted(pending):
             first_type = pending[annotator]
             try:
+                # The conflict check, the one check of an entry's lines together.
                 edit_set = EditSet(source_len, tuple(first_type))
             except ValidationError as exc:
                 raise M2ParseError(
                     f"entry at line {entry_line}, annotator {annotator}: {exc}"
                 ) from exc
             types = tuple(map(first_type.__getitem__, edit_set.edits))
-            annotations.append(Annotation(annotator, edit_set, types))
-        entries.append(M2Entry(source, tuple(annotations)))
-        source = None
+            # ``annotator`` passed ``_annotator_id``; one type str per edit.
+            annotations.append(Annotation._of(annotator, edit_set, types))
+        # ``source`` is a ``Sentence``, ``sorted`` ids of one dict ascend
+        # strictly, and every edit set was built for ``source_len``.
+        entries.append(M2Entry._of(source, tuple(annotations)))
+        source = run_field = None
         pending = {}
 
     for line_no, line in enumerate(_lines(text), start=1):
@@ -252,44 +295,47 @@ def parse_m2(
                 if span is None:
                     span = spans[fields[0]] = _span(fields[0], line_no)
                 annotator_field = fields[5]
-            annotator = annotators.get(annotator_field)
-            if annotator is None:
-                annotator = annotators[annotator_field] = _annotator_id(annotator_field, line_no)
-            edits = pending.get(annotator)
-            if edits is None:
-                edits = pending[annotator] = {}
-            if hit is None:
+            if annotator_field != run_field:
+                annotator = annotators.get(annotator_field)
+                if annotator is None:
+                    annotator = annotators[annotator_field] = _annotator_id(annotator_field, line_no)
+                edits = pending.setdefault(annotator, {})
+                run_field = annotator_field
+            if hit is not None:
+                # The one check of a valid line that depends on its entry: a
+                # stored edit has ``0 <= start <= end``, so only its end is
+                # checked here, and one past the source fails the range check.
+                if hit[0][1] <= source_len:
+                    edits.setdefault(*hit)
+                    continue
+                start, end, _ = hit[0]
+            else:
                 start, end = span
                 if start == -1 and end == -1:
                     continue
-            else:
-                start, end, _ = hit[0]
-            # The one check of a valid line that depends on its entry.
             if not 0 <= start <= end <= source_len:
                 raise M2ParseError(
                     f"line {line_no}: edit span {start} {end} out of range for "
                     f"source of {source_len} tokens"
                 )
-            if hit is None:
-                # A replacement field has no check of its own: ``split`` tokens
-                # pass Edit's token check, and its no-op check is the span's.
-                replacement = replacements.get(fields[2])
-                if replacement is None:
-                    tokens = fields[2].split()
-                    replacement = replacements[fields[2]] = tuple(map(word, tokens, tokens))
-                try:
-                    edit = Edit(start, end, replacement)
-                except ValidationError as exc:
-                    raise M2ParseError(f"line {line_no}: {exc}") from exc
-                hit = parsed[key] = edit, word(fields[1], fields[1])
+            replacement = replacements.get(fields[2])
+            if replacement is None:
+                tokens = fields[2].split()
+                replacement = replacements[fields[2]] = tuple(map(word, tokens, tokens))
+            if start == end and not replacement:
+                raise M2ParseError(
+                    f"line {line_no}: zero-width edit with empty replacement is a no-op"
+                )
+            # The span is in range and not a no-op, and ``split`` tokens are valid.
+            hit = parsed[key] = Edit._of(start, end, replacement), word(fields[1], fields[1])
             edits.setdefault(*hit)
         elif not line.strip():
             close()
         elif line == "S" or line.startswith("S "):
             close()
-            index = len(entries)
-            if index < len(sources) and line[2:] == sources[index].text():
-                source = sources[index]
+            known = sources[len(entries)] if len(entries) < len(sources) else None
+            if isinstance(known, Sentence) and line[2:] == known.text():
+                source = known
             else:
                 tokens = line[2:].split()
                 # ``str.split`` tokens, or equal ones interned from it.

@@ -301,6 +301,16 @@ def bf_lines(text: str) -> list[str]:
     return lines[:-1] if lines[-1] == "" else lines
 
 
+def bf_m2_int(text: str) -> int:
+    """An M2 integer field: ASCII digits after at most one leading ``-``;
+    ``ValueError`` for anything else ``int`` would take (``+1``, ``1_0``,
+    non-ASCII digits, surrounding spaces)."""
+    digits = text[1:] if text.startswith("-") else text
+    if not digits or any(ch not in "0123456789" for ch in digits):
+        raise ValueError(f"not an M2 integer: {text!r}")
+    return int(text)
+
+
 def bf_parse_m2(text: str) -> list[M2Entry]:
     """Parse M2 file content into entries, checking every line in full.
 
@@ -356,11 +366,11 @@ def bf_parse_m2(text: str) -> list[M2Entry]:
             if len(span) != 2:
                 raise M2ParseError(f"line {line_no}: edit span must be two integers")
             try:
-                start, end = int(span[0]), int(span[1])
+                start, end = bf_m2_int(span[0]), bf_m2_int(span[1])
             except ValueError as exc:
                 raise M2ParseError(f"line {line_no}: non-integer edit span") from exc
             try:
-                annotator = int(fields[5].strip())
+                annotator = bf_m2_int(fields[5].strip())
             except ValueError as exc:
                 raise M2ParseError(f"line {line_no}: non-integer annotator id") from exc
             if annotator < 0:

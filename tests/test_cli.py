@@ -515,6 +515,22 @@ class TestScoreCommand:
         ref.write_text("S a b c\nA 1|||UNK|||B|||REQUIRED|||-NONE-|||0\n\n")
         assert main(["score", str(src), str(hyp), str(ref)]) == 2
 
+    @pytest.mark.parametrize(
+        "span, annotator",
+        [("1_0 1_1", "0"), ("\u0661 \u0662", "0"), ("+1 2", "0"), ("1 2", "0_0"), ("1 2", "+0")],
+    )
+    def test_reference_integer_fields_hold_ascii_digits_only(
+        self, tmp_path, capsys, span, annotator
+    ):
+        src = write(tmp_path / "src.txt", ["a b c"])
+        hyp = write(tmp_path / "hyp.txt", ["a B c"])
+        ref = tmp_path / "ref.m2"
+        ref.write_text(
+            f"S a b c\nA {span}|||UNK|||B|||REQUIRED|||-NONE-|||{annotator}\n\n", encoding="utf-8"
+        )
+        assert main(["score", str(src), str(hyp), str(ref)]) == 2
+        assert "line 2: non-integer" in capsys.readouterr().err
+
 
 def stdout_writes(text: str) -> list[tuple[int, str]]:
     """(line, what) of each write to standard output that bypasses ``_publish``.

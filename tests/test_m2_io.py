@@ -39,6 +39,10 @@ B = Edit(1, 2, ("B",))
 SINGLE_EDIT_M2 = "S a b c\nA 1 2|||UNK|||B|||REQUIRED|||-NONE-|||0\n\n"
 NOOP_M2 = "S a b c\nA -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||0\n\n"
 
+# Fields ``int`` reads as integers that an M2 file may not hold.
+NOT_M2_INTS = ["0_0", "+1", "\u0661", "+0"]
+NOT_M2_SPANS = ["1_0 1_1", "\u0661 \u0662", "+1 2", "0 +1"]
+
 
 class TestParse:
     def test_single_edit(self):
@@ -92,6 +96,29 @@ class TestParse:
     def test_negative_annotator(self):
         with pytest.raises(M2ParseError, match="annotator"):
             parse_m2("S a b c\nA 1 2|||UNK|||B|||REQUIRED|||-NONE-|||-1\n\n")
+
+    # Superscript two is a digit to ``str.isdigit``, not to ``int``.
+    @pytest.mark.parametrize("span", [*NOT_M2_SPANS, "0 2\u00b2"])
+    def test_span_holds_ascii_digits_only(self, span):
+        with pytest.raises(M2ParseError, match="^line 2: non-integer edit span$"):
+            parse_m2(f"S a b c\n{_line(span)}\n\n")
+
+    @pytest.mark.parametrize("annotator", [*NOT_M2_INTS, "\u00b2", "- 1"])
+    def test_annotator_id_holds_ascii_digits_only(self, annotator):
+        with pytest.raises(M2ParseError, match="^line 2: non-integer annotator id$"):
+            parse_m2(f"S a b c\n{_line('1 2', annotator=annotator)}\n\n")
+
+    @pytest.mark.parametrize("field", [" 1 ", "\t1", "01", "-0"])
+    def test_annotator_id_may_be_padded_or_zero_led(self, field):
+        [entry] = parse_m2(f"S a b c\n{_line('1 2', annotator=field)}\n")
+        assert entry.annotations[0].annotator == (0 if field == "-0" else 1)
+
+    def test_more_digits_than_int_converts_is_not_an_integer(self):
+        digits = "1" * 5000
+        with pytest.raises(M2ParseError, match="^line 2: non-integer edit span$"):
+            parse_m2(f"S a b c\n{_line('0 ' + digits)}\n")
+        with pytest.raises(M2ParseError, match="^line 2: non-integer annotator id$"):
+            parse_m2(f"S a b c\n{_line('1 2', annotator=digits)}\n")
 
     def test_repeated_edit_keeps_its_first_type_in_span_order(self):
         text = (
@@ -148,25 +175,30 @@ def _mutate(rng: random.Random, line: str) -> str:
     """An annotation line broken in one of several ways."""
     head = line.rpartition("|||")[0]
     rest = line.partition("|||")[2]
+    annotator = rng.choice(["x", "-1", "", "1.0", " 2 ", "|0", "||1", *NOT_M2_INTS])
+    span = rng.choice(["1", "1 x", "a b", "1 2 3", "0 9", "3 1", "-1 0", *NOT_M2_SPANS])
     return rng.choice(
         [
             head,  # five fields
             line + "|||extra",  # seven fields
-            f"{head}|||{rng.choice(['x', '-1', '', '1.0', ' 2 ', '|0', '||1'])}",
+            f"{head}|||{annotator}",
             line.replace("|||-NONE-|||", "|||-NONE-|||" + rng.choice(["|", "||", "x|"]), 1),
-            f"A {rng.choice(['1', '1 x', 'a b', '1 2 3', '0 9', '3 1', '-1 0'])}|||{rest}",
+            f"A {span}|||{rest}",
         ]
     )
 
 
 def _random_m2(rng: random.Random) -> str:
     """Multi-annotator M2 text whose annotators mostly repeat each other's
-    lines, with some lines reused across entries and some lines malformed."""
+    lines, with some lines reused across entries and some lines malformed.
+    Now and then an entry's annotation lines are shuffled, so annotators
+    interleave, or an annotator field is padded with spaces."""
     shared: list[str] = []  # annotation lines that may turn up in any entry
     lines: list[str] = []
     for _ in range(rng.randint(1, 4)):
         length = rng.randint(0, 6)
         lines.append("S " + " ".join(f"t{rng.randrange(4)}" for _ in range(length)))
+        block = []  # this entry's annotation lines
         gold = []
         for start in sorted(rng.sample(range(length + 1), rng.randint(0, min(3, length + 1)))):
             end = min(length, start + rng.randint(0, 1))
@@ -185,12 +217,18 @@ def _random_m2(rng: random.Random) -> str:
                 body.append(("-1 -1", "noop", "-NONE-"))
             for span, type_str, replacement in body:
                 flag = rng.choice(["REQUIRED", "REQUIRED", "OPTIONAL"])
-                lines.append(_line(span, type_str, replacement, str(annotator), flag))
+                field = str(annotator)
+                if rng.random() < 0.15:
+                    field = rng.choice([f" {field} ", f"{field} ", f"\t{field}"])
+                block.append(_line(span, type_str, replacement, field, flag))
                 if rng.random() < 0.2:  # the same edit again, maybe with another type
                     type_str = rng.choice(["R:NOUN", "U:ADJ"])
-                    lines.append(_line(span, type_str, replacement, str(annotator), flag))
+                    block.append(_line(span, type_str, replacement, field, flag))
         if shared and rng.random() < 0.2:
-            lines.append(rng.choice(shared))
+            block.append(rng.choice(shared))
+        if rng.random() < 0.3:
+            rng.shuffle(block)
+        lines += block
         lines.append(rng.choice(["", "", "  ", "\r"]))
 
     for _ in range(rng.choice([0, 0, 1, 2])):
@@ -200,6 +238,24 @@ def _random_m2(rng: random.Random) -> str:
         else:
             lines.insert(index, rng.choice(["S", "Sx", "A", "junk", "A 1|||broken", "", "B 1 2"]))
     return "\n".join(lines) + rng.choice(["", "\n"])
+
+
+def _annotator_runs(text: str) -> list[list[str]]:
+    """Per entry of ``text``, the annotator field of each run of ``A`` lines
+    whose fields read as the same id; an entry whose annotators interleave
+    lists an id twice."""
+    entries: list[list[str]] = []
+    last = None
+    for line in bf_lines(text):
+        if not line.startswith("A "):
+            entries.append([])
+            last = None
+            continue
+        field = line.rpartition("|||")[2]
+        if entries and field.strip() != last:
+            entries[-1].append(field)
+            last = field.strip()
+    return entries
 
 
 def _outcome(parse, text):
@@ -221,6 +277,24 @@ class TestParseMemo:
             assert _outcome(parse_m2, text) == want, text
             kinds["ok" if isinstance(want, list) else "error"] += 1
         assert min(kinds.values()) > 500
+
+    def test_matches_full_check_with_a_memo_shared_across_texts(self):
+        rng = random.Random(6)
+        kinds = {"ok": 0, "error": 0}
+        # Texts where an annotator's lines are not one run, and texts with a
+        # padded annotator field.
+        interleaved = padded = 0
+        for _ in range(1000):
+            memo = {}
+            for text in [_random_m2(rng) for _ in range(3)]:
+                want = _outcome(bf_parse_m2, text)
+                assert _outcome(lambda t: parse_m2(t, memo=memo), text) == want, text
+                kinds["ok" if isinstance(want, list) else "error"] += 1
+                runs = _annotator_runs(text)
+                interleaved += any(len({f.strip() for f in fields}) < len(fields) for fields in runs)
+                padded += any(f != f.strip() for fields in runs for f in fields)
+        assert min(kinds.values()) > 500
+        assert interleaved > 500 and padded > 500
 
     def test_repeat_in_a_shorter_later_entry_is_out_of_range_on_its_own_line(self):
         line = _line("3 4", "UNK", "x")

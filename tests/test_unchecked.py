@@ -1,6 +1,7 @@
 """Values the package builds without their checks (``Sentence._of``,
-``Edit._of``, ``EditSet._of``) would pass those checks, and the public entry
-points those builds rely on still refuse bad input.
+``Edit._of``, ``EditSet._of``, ``Annotation._of``, ``M2Entry._of``) would
+pass those checks, and the public entry points those builds rely on still
+refuse bad input.
 
 Each property rebuilds an unchecked value through its public constructor and
 asserts it comes back equal, with the exact type, so an unchecked build that
@@ -34,8 +35,9 @@ from edit_mbr.edit_core import (
     tokenize,
     vote_set,
 )
-from edit_mbr.m2_io import Annotation, load_sentences, parse_m2
+from edit_mbr.m2_io import Annotation, M2Entry, M2ParseError, load_sentences, parse_m2
 from edit_mbr.rewards import REWARD_KINDS, RewardConfig
+from test_m2_io import _random_m2
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "edit_mbr"
 
@@ -68,6 +70,21 @@ def assert_checked_edit_set(edit_set) -> None:
         assert type(edit.replacement) is tuple
         assert all(type(token) is str for token in edit.replacement)
     assert EditSet(edit_set.source_len, edit_set.edits) == edit_set
+
+
+def assert_checked_entry(entry) -> None:
+    """``entry`` is an ``M2Entry`` that the public constructors rebuild
+    unchanged, annotation by annotation, with a tuple of exact ``str`` types
+    per edit set."""
+    assert type(entry) is M2Entry and type(entry.annotations) is tuple
+    assert_checked_sentence(entry.source)
+    for annotation in entry.annotations:
+        assert type(annotation) is Annotation and type(annotation.annotator) is int
+        assert type(annotation.types) is tuple
+        assert all(type(type_str) is str for type_str in annotation.types)
+        assert_checked_edit_set(annotation.edits)
+        assert Annotation(*annotation) == annotation
+    assert M2Entry(*entry) == entry
 
 
 class TestUncheckedBuildsPassTheirChecks:
@@ -150,6 +167,20 @@ class TestUncheckedBuildsPassTheirChecks:
         for entry in entries:
             assert_checked_sentence(entry.source)
 
+    @settings(deadline=None)
+    @given(seeds)
+    def test_parsed_edits_annotations_and_entries(self, seed):
+        rng = random.Random(seed)
+        memo = {}  # shared by the texts of one example, as ``load_parallel`` shares it
+        for text in [_random_m2(rng) for _ in range(4)]:
+            for parse in (parse_m2, lambda t: parse_m2(t, memo=memo)):
+                try:
+                    entries = parse(text)
+                except M2ParseError:
+                    continue
+                for entry in entries:
+                    assert_checked_entry(entry)
+
 
 class TestEntryPointsStillCheck:
     @pytest.mark.parametrize(
@@ -194,6 +225,15 @@ class TestEntryPointsStillCheck:
         with pytest.raises(ValidationError, match="text to tokenize is not a str"):
             tokenize(text)
 
+    def test_parse_m2_reuses_only_a_sentence_source(self):
+        class Lookalike(tuple):
+            def text(self):
+                return " ".join(self)
+
+        [entry] = parse_m2("S a b\n\n", sources=[Lookalike(("a", "b"))])
+        assert type(entry.source) is Sentence and entry.source == ("a", "b")
+        assert_checked_entry(entry)
+
     @pytest.mark.parametrize("types", ["RM", "R:NOUN", ""])
     def test_annotation_refuses_types_given_as_one_str(self, types):
         edits = EditSet(3, (Edit(0, 1, ("x",)), Edit(1, 2, ("y",))))
@@ -227,18 +267,23 @@ def unchecked_builds(text: str) -> list[tuple[str, str]]:
     return found
 
 
-# Every unchecked build in ``src/``, with how often it occurs.  The three
+# Every unchecked build in ``src/``, with how often it occurs.  The five
 # ``_of`` definitions come first, then each site that relies on one.
 UNCHECKED_BUILDS = {
     ("edit_core", "Sentence", "tuple.__new__"): 1,
     ("edit_core", "Edit._of", "tuple.__new__"): 1,
     ("edit_core", "EditSet._of", "object.__new__"): 1,
+    ("m2_io", "Annotation._of", "tuple.__new__"): 1,
+    ("m2_io", "M2Entry._of", "tuple.__new__"): 1,
     ("edit_core", "tokenize", "Sentence._of"): 1,
     ("edit_core", "apply_edits", "Sentence._of"): 1,
     ("edit_core", "extract_edits", "Edit._of"): 2,
     ("edit_core", "extract_edits", "EditSet._of"): 1,
     ("edit_core", "EditIndex.resolve", "EditSet._of"): 1,
     ("m2_io", "parse_m2", "Sentence._of"): 1,
+    ("m2_io", "parse_m2", "Edit._of"): 1,
+    ("m2_io", "parse_m2.close", "Annotation._of"): 1,
+    ("m2_io", "parse_m2.close", "M2Entry._of"): 1,
     ("m2_io", "load_sentences", "Sentence._of"): 1,
     ("combiner", "combine_sentence", "EditSet._of"): 1,
 }
