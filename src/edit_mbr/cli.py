@@ -12,6 +12,14 @@ returns through ``_publish``.  A command only reads, computes and returns
 its outputs as ``{path: text}``, standard output under the path ``None`` (as
 an omitted ``-o`` names it); ``_publish`` is the one writer of every output.
 
+``extract``, ``apply`` and ``combine`` build one record per sentence,
+``(source, edits, result)`` (``result`` is ``combine``'s ``CombineResult``,
+else ``None``).  Each output kind has one per-sentence encoder: a text line,
+an ``M2Entry`` (joined by ``emit_m2``, which holds the M2 syntax), the trace
+lines, the report line.  ``_render`` draws the records once, hands each
+record to every output's encoder, and joins each output's pieces into the
+``{path: text}`` that ``_publish`` writes.
+
 Two outputs (output, trace, manifest) that name one file, a manifest that
 names an input, or a manifest beside an input that is not a regular file (a
 pipe can be read only once, so its digest cannot be taken) are usage
@@ -234,16 +242,64 @@ def _stdout(text: str) -> None:
         raise ValidationError(f"cannot write to standard output: {exc}") from None
 
 
-def _as_m2(sources, edit_sets) -> str:
-    """M2 text with each edit set as annotator 0 of its source."""
-    return emit_m2(
-        [M2Entry(src, (Annotation(0, edits),)) for src, edits in zip(sources, edit_sets)]
+def _text_line(index, source, edits, result) -> str:
+    """The corrected sentence as one line of text."""
+    return apply_edits(source, edits).text() + "\n"
+
+
+def _m2_entry(index, source, edits, result) -> M2Entry:
+    """The edit set as annotator 0 of its source, for ``emit_m2`` to write."""
+    return M2Entry(source, (Annotation(0, edits),))
+
+
+def _trace_lines(index, source, edits, result) -> str:
+    """One JSON line per greedy insertion of the sentence."""
+    return "".join(
+        json.dumps(
+            {
+                "sentence": index,
+                "edit": {
+                    "start": step.edit.start,
+                    "end": step.edit.end,
+                    "replacement": list(step.edit.replacement),
+                },
+                "reward_before": f"{step.reward_before:.6f}",
+                "reward_after": f"{step.reward_after:.6f}",
+            },
+            sort_keys=True,
+        )
+        + "\n"
+        for step in result.trace
     )
 
 
-def _as_text(sources, edit_sets) -> str:
-    """One corrected line per source."""
-    return "".join(apply_edits(src, edits).text() + "\n" for src, edits in zip(sources, edit_sets))
+def _report_line(index, source, edits, result) -> str:
+    """The chosen label and each selection candidate's expected reward."""
+    cells = " ".join(
+        f"{candidate.label}={score:.6f}"
+        for candidate, score in zip(result.selection, result.expected_rewards)
+    )
+    return f"sent {index} chosen={result.chosen.label} {cells}\n"
+
+
+# Each --out-format's per-sentence encoder and the join of its pieces.  The
+# M2 join looks ``emit_m2`` up when it runs, so a replaced ``cli.emit_m2``
+# (perfbench's traced run) is the one called.
+_FORMATS = {"text": (_text_line, "".join), "m2": (_m2_entry, lambda entries: emit_m2(entries))}
+
+
+def _render(records, outputs: dict) -> dict:
+    """Each output's text from one pass over ``records``.
+
+    ``records`` yields ``(source, edits, result)`` per sentence and is drawn
+    once; ``outputs`` maps a path to its ``(encode, join)``.  Each record
+    adds one piece to every output, and each output's pieces are joined at
+    the end."""
+    pieces = {path: [] for path in outputs}
+    for index, (source, edits, result) in enumerate(records):
+        for path, (encode, _) in outputs.items():
+            pieces[path].append(encode(index, source, edits, result))
+    return {path: join(pieces[path]) for path, (_, join) in outputs.items()}
 
 
 def cmd_extract(args) -> dict:
@@ -253,7 +309,8 @@ def cmd_extract(args) -> dict:
         raise ValidationError(
             f"{args.source} has {len(sources)} lines but {args.hypothesis} has {len(hyps)}"
         )
-    return {args.out: _as_m2(sources, [extract_edits(s, h) for s, h in zip(sources, hyps)])}
+    records = ((s, extract_edits(s, h), None) for s, h in zip(sources, hyps))
+    return _render(records, {args.out: _FORMATS["m2"]})
 
 
 def cmd_combine(args) -> dict:
@@ -269,39 +326,13 @@ def cmd_combine(args) -> dict:
     args.threads = _resolve_threads(args.threads)
     corpus = load_parallel(args.source, args.hypotheses)
     results = combine_corpus(corpus, config, threads=args.threads)
-
-    encode = _as_m2 if args.out_format == "m2" else _as_text
-    payload = encode([entry.source for entry in corpus], [r.chosen.edit_set for r in results])
-    outputs = {args.out: payload}
+    outputs = {args.out: _FORMATS[args.out_format]}
     if args.trace:
-        outputs[args.trace] = "".join(
-            json.dumps(
-                {
-                    "sentence": index,
-                    "edit": {
-                        "start": step.edit.start,
-                        "end": step.edit.end,
-                        "replacement": list(step.edit.replacement),
-                    },
-                    "reward_before": f"{step.reward_before:.6f}",
-                    "reward_after": f"{step.reward_after:.6f}",
-                },
-                sort_keys=True,
-            )
-            + "\n"
-            for index, result in enumerate(results)
-            for step in result.trace
-        )
+        outputs[args.trace] = (_trace_lines, "".join)
     if args.report:
-        lines = []
-        for index, result in enumerate(results):
-            cells = " ".join(
-                f"{candidate.label}={score:.6f}"
-                for candidate, score in zip(result.selection, result.expected_rewards)
-            )
-            lines.append(f"sent {index} chosen={result.chosen.label} {cells}\n")
-        outputs[None] = "".join(lines)  # --report needs -o, so stdout is free
-    return outputs
+        outputs[None] = (_report_line, "".join)  # --report needs -o, so stdout is free
+    records = ((e.source, r.chosen.edit_set, r) for e, r in zip(corpus, results))
+    return _render(records, outputs)
 
 
 def _format_prf(report: ScoreReport) -> str:
@@ -334,7 +365,8 @@ def cmd_score(args) -> dict:
 def cmd_apply(args) -> dict:
     sources = load_sentences(args.source)
     entries = load_matching_m2(args.m2, sources, args.source)
-    return {args.out: _as_text(sources, [primary_edit_set(entry) for entry in entries])}
+    records = ((s, primary_edit_set(entry), None) for s, entry in zip(sources, entries))
+    return _render(records, {args.out: _FORMATS["text"]})
 
 
 def _label(action: argparse.Action) -> str:

@@ -145,3 +145,24 @@ def test_each_m2_file_is_one_parse_span_counting_its_entries(
         assert cli.main(argv) == 0
     assert sum(span.name == "m2_io.parse_m2" for span in tracer.spans()) == m2_files
     assert tracer.counts()["m2_io.parse_m2.entries"] == m2_files * len(sources)
+
+
+@pytest.mark.parametrize("out_format", ["text", "m2"])
+def test_combine_output_is_one_emit_span_or_one_apply_call_per_sentence(
+    bench_modules, tmp_path, monkeypatch, out_format
+):
+    # ``m2_io.emit_m2.s`` times the one M2 join of the output, and
+    # ``edit_core.apply_edits.calls`` counts one applied edit set per line.
+    child, spans = bench_modules
+    monkeypatch.chdir(tmp_path)
+    sources = ["a b c", "x y", "p q r s", ""]
+    hypotheses = {"sys0": ["a B c", "x y", "q r s", "n"], "sys1": ["a b c", "x", "p q r s", ""]}
+    for name, lines in {"src": sources, **hypotheses}.items():
+        Path(f"{name}.txt").write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    argv = ["combine", "src.txt", "sys0.txt", "sys1.txt", "--method", "greedy", "--trace", "t.jsonl"]
+    tracer = spans.Tracer()
+    with spans.patched(child._wrappers(tracer, cli, m2_io, combiner, rewards, scorer)):
+        assert cli.main([*argv, "--out-format", out_format, "-o", "out"]) == 0
+    names = [span.name for span in tracer.spans()]
+    want = {"m2": (1, 0), "text": (0, len(sources))}[out_format]
+    assert (names.count("m2_io.emit_m2"), names.count("edit_core.apply_edits")) == want

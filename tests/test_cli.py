@@ -19,8 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import edit_mbr
+from edit_mbr import cli
 from edit_mbr.cli import main
-from edit_mbr.m2_io import load_sentences, parse_m2
+from edit_mbr.combiner import CombineConfig, combine_corpus
+from edit_mbr.m2_io import load_parallel, load_sentences, parse_m2
 
 MATRIX = Path(__file__).parent / "data" / "matrix"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -96,14 +98,29 @@ class TestExtractApply:
         )
         assert not (tmp_path / "o.txt").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["extract", "s.txt", "h1.txt", "o.m2"],
+            ["combine", "s.txt", "h1.txt", "h2.txt", "--out-format", "m2", "-o", "o.m2",
+             "--trace", "t.jsonl"],
+        ],
+        ids=["extract", "combine"],
+    )
     @pytest.mark.parametrize("token", ["|||", "x|||y", "-NONE-", "x|"])
-    def test_replacement_m2_cannot_hold_is_data_error(self, tmp_path, capsys, token):
-        src = write(tmp_path / "s.txt", ["a b c"])
-        hyp = write(tmp_path / "h.txt", [f"a {token} c"])
-        out = tmp_path / "e.m2"
-        assert main(["extract", str(src), str(hyp), str(out)]) == 2
-        assert "cannot be written as M2" in capsys.readouterr().err
-        assert not out.exists()
+    def test_replacement_m2_cannot_hold_is_data_error(
+        self, tmp_path, monkeypatch, capsys, token, argv
+    ):
+        # Every system holds the token in the last line, so the lines before
+        # it encode and only the final M2 join can refuse the output.
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path / "s.txt", ["p q", "a b c"])
+        for name in ("h1.txt", "h2.txt"):
+            write(tmp_path / name, ["p Q", f"a {token} c"])
+        assert main(argv) == 2
+        assert "entry 2: replacement" in capsys.readouterr().err
+        for name in ("o.m2", "t.jsonl", "o.m2.manifest.json"):
+            assert not (tmp_path / name).exists()
 
     def test_manifest_written(self, corpus, tmp_path):
         out_m2 = tmp_path / "edits.m2"
@@ -598,6 +615,40 @@ class TestOneWriter:
             (12, "print in cmd_score"),
             (13, "print in None"),
         ]
+
+
+class TestRender:
+    """``_render`` makes every output of ``extract``, ``apply`` and ``combine``
+    in one pass over the per-sentence records."""
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        corpus = load_parallel(MATRIX / "src.txt", [MATRIX / f"hyp{i}.txt" for i in range(5)])
+        results = combine_corpus(corpus, CombineConfig(strategy="greedy"))
+        records = [(e.source, r.chosen.edit_set, r) for e, r in zip(corpus, results)]
+        assert any(result.trace for _, _, result in records)
+        return records
+
+    @pytest.mark.parametrize("out_format", ["text", "m2"])
+    def test_one_pass_gives_each_output_what_its_format_gives_alone(self, records, out_format):
+        outputs = {
+            "out": cli._FORMATS[out_format],
+            "trace": (cli._trace_lines, "".join),
+            None: (cli._report_line, "".join),
+        }
+        drawn = []
+
+        def once():
+            for record in records:
+                drawn.append(record)
+                yield record
+
+        got = cli._render(once(), outputs)
+        assert drawn == records
+        assert list(got) == list(outputs)
+        for path, (encode, join) in outputs.items():
+            alone = join([encode(index, *record) for index, record in enumerate(records)])
+            assert got[path] == alone != ""
 
 
 class TestBadEncoding:
