@@ -29,7 +29,8 @@ written last: the parsed arguments (with ``combine``'s resolved thread
 count) plus input and output-file SHA-256 digests, so re-running with the
 same inputs and configuration reproduces the outputs byte for byte.
 Digests are taken only for a manifest, and ``hashlib``, which loads
-OpenSSL, is imported only then.
+OpenSSL, is imported only then.  ``json``, like ``hashlib``, is imported
+only when a manifest or a trace is written, so start-up skips it.
 
 ``main`` pauses the cyclic garbage collector while a command runs and
 restores the state it found when the command ends, however it ends.  A
@@ -44,7 +45,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
-import json
 import os
 import sys
 from collections.abc import Sequence
@@ -179,6 +179,8 @@ def _publish(args, outputs: dict) -> None:
         if manifest:
             manifest["outputs"][str(path)] = _sha256(data)
     if manifest:
+        import json
+
         _replace(args.manifest, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
 
 
@@ -254,6 +256,8 @@ def _m2_entry(index, source, edits, result) -> M2Entry:
 
 def _trace_lines(index, source, edits, result) -> str:
     """One JSON line per greedy insertion of the sentence."""
+    import json
+
     return "".join(
         json.dumps(
             {

@@ -935,9 +935,10 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
-    def test_import_and_parser_load_neither_dataclasses_nor_inspect(self):
+    def test_import_and_parser_load_no_dataclasses_inspect_or_json(self):
         # The value types are namedtuples and a hand-written EditSet: importing
-        # dataclasses would pull in inspect, ast, dis and tokenize.  Only the
+        # dataclasses would pull in inspect, ast, dis and tokenize.  json is
+        # imported only when a manifest or a trace is written.  Only the
         # modules the import adds count, since site may load some itself.
         src = str(Path(edit_mbr.__file__).resolve().parent.parent)
         code = (
@@ -946,7 +947,7 @@ class TestModuleEntryPoint:
             "from edit_mbr.cli import build_parser\n"
             "build_parser()\n"
             "added = set(sys.modules) - before\n"
-            "print('edit_mbr.cli' in added, sorted({'dataclasses', 'inspect'} & added))\n"
+            "print('edit_mbr.cli' in added, sorted({'dataclasses', 'inspect', 'json'} & added))\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code],
@@ -958,27 +959,40 @@ class TestModuleEntryPoint:
         assert proc.stdout.strip() == "True []"
 
     def test_score_without_a_manifest_does_not_load_openssl(self, tmp_path):
-        # hashlib loads OpenSSL through _hashlib; only a digest needs it.
+        # hashlib loads OpenSSL through _hashlib; only a digest needs it.  json
+        # is needed only to write a manifest or a trace.  Only the modules the
+        # call adds count, since site may load some itself.
         src = str(Path(edit_mbr.__file__).resolve().parent.parent)
-        files = [str(MATRIX / name) for name in ("src.txt", "hyp0.txt", "ref.m2")]
+        m = str(MATRIX)
+        score = ["score", f"{m}/src.txt", f"{m}/hyp0.txt", f"{m}/ref.m2"]
+        combine = ["combine", f"{m}/src.txt", f"{m}/hyp0.txt", f"{m}/hyp1.txt",
+                   f"{m}/sys0.m2", f"{m}/sys1.m2", f"{m}/sys2.m2", "--method", "greedy"]
         code = (
             "import sys\n"
+            "before = set(sys.modules)\n"
             "from edit_mbr.cli import main\n"
             "rc = main(sys.argv[1:])\n"
-            "print(rc, sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n"
+            "added = set(sys.modules) - before\n"
+            "print(rc, sorted({'hashlib', '_hashlib', 'json'} & added))\n"
         )
-        manifest = str(tmp_path / "score.json")
+        argvs = [
+            score,
+            [*score, "--manifest", str(tmp_path / "score.json")],
+            combine,
+            [*combine, "--trace", str(tmp_path / "trace.jsonl")],
+        ]
         got = []
-        for extra in ([], ["--manifest", manifest]):
+        for argv in argvs:
             proc = subprocess.run(
-                [sys.executable, "-c", code, "score", *files, *extra],
+                [sys.executable, "-c", code, *argv],
                 capture_output=True,
                 text=True,
                 env={**os.environ, "PYTHONPATH": src},
             )
             assert proc.returncode == 0, proc.stderr
             got.append(proc.stdout.splitlines()[-1])
-        assert got == ["0 []", "0 ['_hashlib', 'hashlib']"]
+        assert got == ["0 []", "0 ['_hashlib', 'hashlib', 'json']", "0 []", "0 ['json']"]
+        assert (tmp_path / "trace.jsonl").stat().st_size > 0
 
 
 class TestCollectorPause:
