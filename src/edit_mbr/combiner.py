@@ -2,12 +2,15 @@
 
 All strategies score a candidate by its expected reward: the uniform mean of
 the configured reward against every member of the reward-expectation set
-(the base systems by default).  Selection returns the candidate maximizing
-that expectation; richer selection sets (vote candidates, the greedy result)
-can only raise the attainable maximum.
+(the base systems by default).  Selection returns the first candidate
+maximizing that expectation; richer selection sets (vote candidates, the
+greedy result) can only raise the attainable maximum.
 ``combine_sentence`` is the one path for every strategy.  It indexes a
 sentence's system edits once (``EditIndex``); the vote candidates, their
-masks, the reward table and the greedy pool all come from that one index.
+masks, the reward table and the greedy pool all come from that one index,
+and each candidate is scored from the mask it already has, once per distinct
+mask.  ``mbr_select`` takes candidates from outside, masks them over the
+table first, and then applies the same selection rule (``_select``).
 """
 
 from __future__ import annotations
@@ -28,7 +31,11 @@ from .edit_core import (
     intersect,  # traced by perfbench/child.py
     vote_set,  # traced by perfbench/child.py
 )
-from .rewards import RewardConfig, RewardSet, expected_reward
+from .rewards import (
+    RewardConfig,
+    RewardSet,
+    expected_reward,  # traced by perfbench/child.py
+)
 
 STRATEGIES = ("mbr", "mbr-vote", "greedy")
 REWARD_SET_SPECS = ("base", "base+votes")
@@ -73,6 +80,25 @@ class CombineResult(
     __slots__ = ()
 
 
+def _select(
+    selection: Sequence[Candidate], keys: Sequence[tuple[int, int]], table: RewardSet,
+    reward: RewardConfig, memo: dict[tuple[int, int], float],
+) -> CombineResult:
+    """The selection rule: the first candidate with the highest expected reward.
+
+    ``keys`` holds each candidate's ``(mask, size)`` over ``table``'s bits, in
+    selection order.  ``memo`` maps each key already scored to its score, so
+    a key that repeats is scored once.  The first maximum wins, so the
+    selection order is the tie-break policy (base systems in input order,
+    then vote candidates by threshold, then greedy).
+    """
+    for key in set(keys) - memo.keys():
+        memo[key] = table.expected(*key, reward)
+    scores = tuple(map(memo.__getitem__, keys))
+    best = max(range(len(scores)), key=scores.__getitem__)
+    return CombineResult(selection[best], tuple(selection), scores)
+
+
 def mbr_select(
     selection_set: Sequence[Candidate],
     reward_set: Sequence[Candidate] | RewardSet,
@@ -82,9 +108,10 @@ def mbr_select(
 
     ``reward_set`` is the candidates to average over, indexed here into a
     ``RewardSet``, or that ``RewardSet`` when the caller has built one
-    already.  The first candidate attaining the maximum wins, so the
-    selection order is the tie-break policy (base systems in input order,
-    then vote candidates by threshold, then greedy).
+    already.  Each candidate is masked over the table and sized by its edit
+    count, since it may hold edits no member holds, and then ``_select``
+    picks as ``combine_sentence`` does.  ``combine_sentence`` does not call
+    it; ``perfbench/child.py`` still replaces this name to trace it.
     """
     selection = tuple(selection_set)
     if not selection:
@@ -93,11 +120,13 @@ def mbr_select(
         table = reward_set
     else:
         table = RewardSet(EditIndex([candidate.edit_set for candidate in reward_set]))
-    scores = tuple(
-        expected_reward(candidate.edit_set, table, config.reward) for candidate in selection
-    )
-    best = max(range(len(selection)), key=scores.__getitem__)
-    return CombineResult(chosen=selection[best], selection=selection, expected_rewards=scores)
+    keys = [(table.mask(candidate.edit_set), len(candidate.edit_set)) for candidate in selection]
+    return _select(selection, keys, table, config.reward, {})
+
+
+def _labeled(resolved: Sequence[tuple[EditSet, int]]) -> list[Candidate]:
+    """``EditIndex.resolve``'s vote sets as candidates labeled ``vote-m``."""
+    return [Candidate(edit_set, f"vote-{m}") for m, (edit_set, _) in enumerate(resolved, start=1)]
 
 
 def vote_candidates(systems: Sequence[Candidate]) -> list[Candidate]:
@@ -107,8 +136,7 @@ def vote_candidates(systems: Sequence[Candidate]) -> list[Candidate]:
     ``vote-m`` its edits with at least m votes, and ``vote-N`` their
     intersection (see ``EditIndex.resolve``).
     """
-    resolved = EditIndex([candidate.edit_set for candidate in systems]).resolve()
-    return [Candidate(edit_set, f"vote-{m}") for m, (edit_set, _) in enumerate(resolved, start=1)]
+    return _labeled(EditIndex([candidate.edit_set for candidate in systems]).resolve())
 
 
 def combine_sentence(systems: Sequence[Candidate], config: CombineConfig) -> CombineResult:
@@ -127,31 +155,39 @@ def combine_sentence(systems: Sequence[Candidate], config: CombineConfig) -> Com
     vote candidates and their masks come from one ``resolve`` of that index,
     and only when the strategy or the reward set uses them; one
     ``RewardSet`` over the index (plus the vote masks under ``base+votes``)
-    serves greedy rounds and final selection alike.  The working set's mask
-    is the ``vote-N`` mask, and the pool is the threshold set's edits whose
-    bit lies outside it.  A round scores the whole pool in one
-    ``expected_insertions`` call, from the working set's per-member overlaps
-    and each pool edit's fixed 0/1 holder vector; the grown ``EditSet`` is
-    built once.  The overlaps are those of the grown set itself, and the
-    reward rows hold the ``_score`` values, so the floats are those of
-    scoring each grown set against each member.
+    serves greedy rounds and final selection alike.  Every candidate edit is
+    a system edit with a bit, so each candidate is scored from the mask the
+    index already gives it (a system's ``masks`` entry, a vote set's
+    ``resolve`` mask, the grown set's mask built below), with its popcount as
+    its size; no edit is hashed again to score it, and a mask that repeats
+    (a vote set equal to another, or to a system) is scored once.  The
+    working set's mask is the ``vote-N`` mask, and the pool is the threshold
+    set's edits whose bit lies outside it.  A round scores the whole pool in
+    one ``expected_insertions`` call, from the working set's per-member
+    overlaps and each pool edit's fixed 0/1 holder vector; a committed
+    edit's bit joins the working mask, and the grown ``EditSet`` is built
+    once.  The overlaps are those of the grown set itself, and the reward
+    rows hold the ``_score`` values, so the floats are those of scoring each
+    candidate's edit set against each member (``expected_reward``).
     """
     systems = list(systems)
     index = EditIndex([candidate.edit_set for candidate in systems])
     with_votes = config.reward_set == "base+votes"
     resolved = index.resolve() if config.strategy != "mbr" or with_votes else []
-    votes = [Candidate(edit_set, f"vote-{m}") for m, (edit_set, _) in enumerate(resolved, start=1)]
     table = RewardSet(index, [mask for _, mask in resolved] if with_votes else ())
-    selection = systems if config.strategy == "mbr" else systems + votes
+    voted = resolved if config.strategy != "mbr" else []
+    selection = systems + _labeled(voted)
+    keys = [(mask, mask.bit_count()) for mask in index.masks + [mask for _, mask in voted]]
+    memo: dict[tuple[int, int], float] = {}
     if config.strategy != "greedy":
-        return mbr_select(selection, table, config)
+        return _select(selection, keys, table, config.reward, memo)
 
-    working, working_mask = resolved[-1]
+    working, mask = resolved[-1]
     threshold = min(config.greedy_pool_threshold, len(systems))
-    pool = [edit for edit in resolved[threshold - 1][0] if not table.bit(edit) & working_mask]
+    pool = [edit for edit in resolved[threshold - 1][0] if not table.bit(edit) & mask]
     holders = [table.overlaps(table.bit(edit)) for edit in pool]
-    current = expected_reward(working, table, config.reward)
-    overlaps, size = table.overlaps(working_mask), len(working)
+    overlaps, size = table.overlaps(mask), len(working)
+    current = memo[mask, size] = table.expected(mask, size, config.reward)
     trace: list[GreedyStep] = []
     while pool:
         scores = table.expected_insertions(overlaps, size + 1, holders, config.reward)
@@ -160,11 +196,12 @@ def combine_sentence(systems: Sequence[Candidate], config: CombineConfig) -> Com
             break
         trace.append(GreedyStep(pool.pop(best), current, scores[best]))
         overlaps = list(map(add, overlaps, holders.pop(best)))
-        size, current = size + 1, scores[best]
+        mask, size, current = mask | table.bit(trace[-1].edit), size + 1, scores[best]
     # Distinct edits of the one conflict-free threshold vote set.
     grown_edits = tuple(sorted(working.edits + tuple(step.edit for step in trace)))
     grown = EditSet._of(working.source_len, grown_edits)
-    result = mbr_select(selection + [Candidate(grown, "greedy")], table, config)
+    selection, keys = selection + [Candidate(grown, "greedy")], keys + [(mask, size)]
+    result = _select(selection, keys, table, config.reward, memo)
     return CombineResult(result.chosen, result.selection, result.expected_rewards, tuple(trace))
 
 

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     bf_expected,
@@ -12,8 +14,10 @@ from conftest import (
     bf_vote_set,
     random_systems,
 )
+from edit_mbr import combiner
 from edit_mbr.combiner import (
     REWARD_SET_SPECS,
+    STRATEGIES,
     CombineConfig,
     combine_corpus,
     combine_sentence,
@@ -48,6 +52,10 @@ def fixture_systems():
         Candidate(es(B, D), "h2"),
         Candidate(es(), "h3"),
     ]
+
+
+def systems_sets():
+    return [candidate.edit_set for candidate in fixture_systems()]
 
 
 def config_for(kind, **kwargs):
@@ -341,6 +349,104 @@ class TestCombineSentence:
         with pytest.raises(ValidationError):
             combine_sentence(systems, config_for("f", strategy=strategy))
 
+
+class TestExactScores:
+    """``combine_sentence`` scores each candidate from the mask it already
+    holds, once per distinct ``(mask, size)``; every float must be the one
+    ``expected_reward`` gives the candidate's edit set, and the first maximum
+    must win."""
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("kind", REWARD_KINDS)
+    @pytest.mark.parametrize("reward_set", REWARD_SET_SPECS)
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_scores_are_expected_rewards_and_the_first_maximum_wins(
+        self, strategy, kind, reward_set, seed
+    ):
+        rng = random.Random(seed)
+        n = rng.randint(1, 8)
+        systems = random_systems(
+            rng,
+            source_len=rng.randint(0, 12),
+            n_systems=n,
+            pool_size=rng.randint(0, 10),
+            take=rng.choice([0.3, 0.45, 0.7]),
+        )
+        reward = RewardConfig(kind=kind, beta=rng.choice([0.3, 0.5, 1.0, 2.0]))
+        config = CombineConfig(strategy, reward, reward_set, rng.randint(1, n + 1))
+        result = combine_sentence(systems, config)
+        members = [candidate.edit_set for candidate in systems]
+        if reward_set == "base+votes":
+            members += [candidate.edit_set for candidate in vote_candidates(systems)]
+        want = tuple(
+            expected_reward(candidate.edit_set, members, reward) for candidate in result.selection
+        )
+        assert result.expected_rewards == want
+        assert result.chosen == result.selection[want.index(max(want))]
+
+    @pytest.mark.parametrize("strategy", ["mbr-vote", "greedy"])
+    @pytest.mark.parametrize("reward_set", REWARD_SET_SPECS)
+    def test_each_distinct_mask_is_scored_once(self, monkeypatch, strategy, reward_set):
+        # vote-2 == vote-3 == s0 == s1, vote-1 == s2, vote-4 == s3, and
+        # greedy grows vote-4 into one of them: three distinct edit sets.
+        systems = [
+            Candidate(es(B), "s0"),
+            Candidate(es(B), "s1"),
+            Candidate(es(B, D), "s2"),
+            Candidate(es(), "s3"),
+        ]
+        masks = []
+        expected = RewardSet.expected
+
+        def spy(table, mask, n_hyp, config):
+            masks.append((mask, n_hyp))
+            return expected(table, mask, n_hyp, config)
+
+        monkeypatch.setattr(RewardSet, "expected", spy)
+        config = config_for("f", strategy=strategy, reward_set=reward_set)
+        result = combine_sentence(systems, config)
+        assert len(result.selection) == (9 if strategy == "greedy" else 8)
+        assert len(masks) == len(set(masks)) == 3
+        assert len({candidate.edit_set for candidate in result.selection}) == 3
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_combine_sentence_masks_no_edit_set_to_score_it(self, monkeypatch, strategy):
+        def refuse(*args):
+            raise AssertionError("combine_sentence re-masked a candidate")
+
+        want = combine_sentence(fixture_systems(), config_for("f", strategy=strategy))
+        monkeypatch.setattr(RewardSet, "mask", refuse)
+        monkeypatch.setattr(combiner, "expected_reward", refuse)
+        monkeypatch.setattr(combiner, "mbr_select", refuse)
+        assert combine_sentence(fixture_systems(), config_for("f", strategy=strategy)) == want
+
+    # Y is held by no member, so it has no bit: {Y, B} has the mask of {B}
+    # and one edit more.  Recall alone does not read the hypothesis size.
+    SIZED_KINDS = [kind for kind in REWARD_KINDS if kind != "recall"]
+
+    @pytest.mark.parametrize("kind", SIZED_KINDS)
+    def test_mbr_select_sizes_a_candidate_by_its_edits_not_its_mask(self, kind):
+        systems, config = fixture_systems(), config_for(kind)
+        table = RewardSet(EditIndex(systems_sets()))
+        outside = es(Edit(0, 1, ("Y",)), B)
+        assert table.mask(outside) == table.mask(es(B))
+        [score] = mbr_select([Candidate(outside, "outside")], systems, config).expected_rewards
+        assert score == expected_reward(outside, systems_sets(), config.reward)
+        refs = [edit_set.edits for edit_set in systems_sets()]
+        assert score == pytest.approx(bf_expected(kind, refs, outside.edits), abs=1e-12)
+        assert score != table.expected(table.mask(outside), 1, config.reward)
+
+    @pytest.mark.parametrize("kind", SIZED_KINDS)
+    def test_candidates_with_one_mask_and_different_sizes_score_apart(self, kind):
+        pair = [Candidate(es(Edit(0, 1, ("Y",)), B), "outside"), Candidate(es(B), "inside")]
+        config = config_for(kind)
+        scores = mbr_select(pair, fixture_systems(), config).expected_rewards
+        assert scores == tuple(
+            expected_reward(candidate.edit_set, systems_sets(), config.reward)
+            for candidate in pair
+        )
+        assert scores[0] != scores[1]
 
 class TestCombineCorpus:
     def corpus(self):
