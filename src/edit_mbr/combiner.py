@@ -6,11 +6,12 @@ the configured reward against every member of the reward-expectation set
 maximizing that expectation; richer selection sets (vote candidates, the
 greedy result) can only raise the attainable maximum.
 ``combine_sentence`` is the one path for every strategy.  It indexes a
-sentence's system edits once (``EditIndex``); the vote candidates, their
-masks, the reward table and the greedy pool all come from that one index,
-and each candidate is scored from the mask it already has, once per distinct
-mask.  ``mbr_select`` takes candidates from outside, masks them over the
-table first, and then applies the same selection rule (``_select``).
+sentence's system edits once (``EditIndex``, the one map from edits to
+bits); the vote candidates, their masks, the reward table and the greedy
+pool's bits all come from that one index, and each candidate is scored from
+the mask it already has, once per distinct mask.  ``mbr_select`` takes
+candidates from outside, masks them over an index of its reward set first,
+and then applies the same selection rule (``_select``).
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def _select(
 ) -> CombineResult:
     """The selection rule: the first candidate with the highest expected reward.
 
-    ``keys`` holds each candidate's ``(mask, size)`` over ``table``'s bits, in
+    ``keys`` holds each candidate's ``(mask, size)`` over ``table``'s index, in
     selection order.  ``memo`` maps each key already scored to its score, so
     a key that repeats is scored once.  The first maximum wins, so the
     selection order is the tie-break policy (base systems in input order,
@@ -100,28 +101,23 @@ def _select(
 
 
 def mbr_select(
-    selection_set: Sequence[Candidate],
-    reward_set: Sequence[Candidate] | RewardSet,
-    config: CombineConfig,
+    selection_set: Sequence[Candidate], reward_set: Sequence[Candidate], config: CombineConfig
 ) -> CombineResult:
     """Pick the candidate with the highest expected reward against ``reward_set``.
 
-    ``reward_set`` is the candidates to average over, indexed here into a
-    ``RewardSet``, or that ``RewardSet`` when the caller has built one
-    already.  Each candidate is masked over the table and sized by its edit
-    count, since it may hold edits no member holds, and then ``_select``
-    picks as ``combine_sentence`` does.  ``combine_sentence`` does not call
-    it; ``perfbench/child.py`` still replaces this name to trace it.
+    ``reward_set`` is the candidates to average over, indexed here
+    (``EditIndex``) and scored through a ``RewardSet`` of their masks.  Each
+    candidate is masked over the index and sized by its edit count, since it
+    may hold edits no member holds, and then ``_select`` picks as
+    ``combine_sentence`` does.  ``combine_sentence`` does not call it;
+    ``perfbench/child.py`` still replaces this name to trace it.
     """
     selection = tuple(selection_set)
     if not selection:
         raise ValueError("selection set must be non-empty")
-    if isinstance(reward_set, RewardSet):
-        table = reward_set
-    else:
-        table = RewardSet(EditIndex([candidate.edit_set for candidate in reward_set]))
-    keys = [(table.mask(candidate.edit_set), len(candidate.edit_set)) for candidate in selection]
-    return _select(selection, keys, table, config.reward, {})
+    index = EditIndex([candidate.edit_set for candidate in reward_set])
+    keys = [(index.mask(candidate.edit_set), len(candidate.edit_set)) for candidate in selection]
+    return _select(selection, keys, RewardSet(index.masks), config.reward, {})
 
 
 def _labeled(resolved: Sequence[tuple[EditSet, int]]) -> list[Candidate]:
@@ -174,7 +170,7 @@ def combine_sentence(systems: Sequence[Candidate], config: CombineConfig) -> Com
     index = EditIndex([candidate.edit_set for candidate in systems])
     with_votes = config.reward_set == "base+votes"
     resolved = index.resolve() if config.strategy != "mbr" or with_votes else []
-    table = RewardSet(index, [mask for _, mask in resolved] if with_votes else ())
+    table = RewardSet(index.masks + [mask for _, mask in resolved if with_votes])
     voted = resolved if config.strategy != "mbr" else []
     selection = systems + _labeled(voted)
     keys = [(mask, mask.bit_count()) for mask in index.masks + [mask for _, mask in voted]]
@@ -184,8 +180,8 @@ def combine_sentence(systems: Sequence[Candidate], config: CombineConfig) -> Com
 
     working, mask = resolved[-1]
     threshold = min(config.greedy_pool_threshold, len(systems))
-    pool = [edit for edit in resolved[threshold - 1][0] if not table.bit(edit) & mask]
-    holders = [table.overlaps(table.bit(edit)) for edit in pool]
+    pool = [edit for edit in resolved[threshold - 1][0] if not index.bits[edit] & mask]
+    holders = [table.overlaps(index.bits[edit]) for edit in pool]
     overlaps, size = table.overlaps(mask), len(working)
     current = memo[mask, size] = table.expected(mask, size, config.reward)
     trace: list[GreedyStep] = []
@@ -196,7 +192,7 @@ def combine_sentence(systems: Sequence[Candidate], config: CombineConfig) -> Com
             break
         trace.append(GreedyStep(pool.pop(best), current, scores[best]))
         overlaps = list(map(add, overlaps, holders.pop(best)))
-        mask, size, current = mask | table.bit(trace[-1].edit), size + 1, scores[best]
+        mask, size, current = mask | index.bits[trace[-1].edit], size + 1, scores[best]
     # Distinct edits of the one conflict-free threshold vote set.
     grown_edits = tuple(sorted(working.edits + tuple(step.edit for step in trace)))
     grown = EditSet._of(working.source_len, grown_edits)

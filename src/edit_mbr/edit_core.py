@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import repeat
 
 
 class ValidationError(ValueError):
@@ -38,31 +39,22 @@ class Checked:
         return cls(*fields)
 
 
-def _check_token(token: str) -> None:
-    if not token:
-        raise ValidationError("tokens must be non-empty")
-    if not isinstance(token, str):
-        raise ValidationError(f"token is not a str: {token!r}")
-    if any(ch.isspace() for ch in token):
-        raise ValidationError(f"token contains whitespace: {token!r}")
-
-
 def _check_tokens(tokens: tuple[str, ...]) -> None:
     """Raise ``ValidationError`` naming the first empty, non-``str`` or
     whitespace token.
 
-    ``str.split()`` splits on exactly the characters ``str.isspace()`` accepts,
-    so re-splitting the joined tokens gives them back unchanged precisely when
-    every token is non-empty and whitespace-free.  Only when it does not (or a
-    token is not a ``str``) are the tokens scanned one by one for the error.
+    A ``str`` token holds no whitespace exactly when ``token.split()`` gives
+    it back alone: ``str.split()`` splits on exactly the characters
+    ``str.isspace()`` accepts.  Every hot build skips this check through
+    ``_of``, so the tokens are scanned one by one.
     """
-    try:
-        if tuple(" ".join(tokens).split()) == tokens:
-            return
-    except TypeError:
-        pass
     for token in tokens:
-        _check_token(token)
+        if not token:
+            raise ValidationError("tokens must be non-empty")
+        if not isinstance(token, str):
+            raise ValidationError(f"token is not a str: {token!r}")
+        if token.split() != [token]:
+            raise ValidationError(f"token contains whitespace: {token!r}")
 
 
 def _token_tuple(tokens, name: str) -> tuple[str, ...]:
@@ -450,12 +442,14 @@ class EditIndex:
     """One sentence's system edit sets, indexed in one pass.
 
     Every vote-set edit and every greedy pool edit is some system's edit, so
-    this index is the sentence's one universe of edits.  Walking the systems
-    in order, and each system's edits in span order, gives each distinct edit
-    a bit in first-proposal order (``bits``) and each system its mask
-    (``masks``, the OR of its edits' bits).  An edit's vote count is the
-    number of masks that hold its bit; ``resolve`` reads the counts off the
-    masks, so no edit is hashed again.
+    this index is the sentence's one universe of edits, and the one place an
+    edit gets a bit.  Walking the systems in order, and each system's edits
+    in span order, gives each distinct edit a bit in first-proposal order
+    (``bits``) and each system its mask (``masks``, the OR of its edits'
+    bits); ``mask`` gives any other edit set of this source its mask the
+    same way.  An edit's vote count is the number of masks that hold its
+    bit; ``resolve`` reads the counts off the masks, so no edit is hashed
+    again.
     """
 
     __slots__ = ("source_len", "bits", "masks")
@@ -475,6 +469,12 @@ class EditIndex:
             for edit in edit_set.edits:
                 mask |= bits.setdefault(edit, 1 << len(bits))
             self.masks.append(mask)
+
+    def mask(self, edit_set: EditSet) -> int:
+        """The bits of the edits in ``edit_set`` that some indexed set holds."""
+        check_source_len(self.source_len, edit_set)
+        # Distinct edits have distinct bits, so the sum is the OR.
+        return sum(map(self.bits.get, edit_set.edits, repeat(0)))
 
     def resolve(self) -> list[tuple[EditSet, int]]:
         """The vote set at every threshold m = 1..N with its mask, from one pass.

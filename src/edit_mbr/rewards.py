@@ -1,8 +1,9 @@
 """Edit-set reward functions and their uniform-average expectation.
 
 ``RewardSet`` scores a sentence's candidates against its members from
-bitmasks over the sentence's ``EditIndex``: a member's size is its mask's
-popcount, and a hypothesis's overlap with it the popcount of their AND.
+bitmasks, all taken over one ``EditIndex`` (the one map from edits to bits):
+a member's size is its mask's popcount, and a hypothesis's overlap with it
+the popcount of their AND.
 """
 
 from __future__ import annotations
@@ -11,10 +12,9 @@ import math
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
-from itertools import repeat
 from operator import add, getitem
 
-from .edit_core import Checked, Edit, EditIndex, EditSet, check_choice, check_source_len
+from .edit_core import Checked, EditIndex, EditSet, check_choice
 
 REWARD_KINDS = ("recall", "precision", "f", "f-paper", "jaccard")
 
@@ -80,15 +80,17 @@ def _score(overlap: int, n_ref: int, n_hyp: int, config: RewardConfig) -> float:
 # 256: a combine call reads one table per hypothesis size, at most 28 on the bench corpora.
 @lru_cache(maxsize=256)
 class _RowTable(dict):
-    """The ``_score`` rows of one ``(n_hyp, kind, beta)``, keyed by reference
-    size ``n_ref``: the reward at every overlap ``0 .. min(n_ref, n_hyp)``, the
+    """The ``_score`` rows of one ``(n_hyp, config)``, keyed by reference size
+    ``n_ref``: the reward at every overlap ``0 .. min(n_ref, n_hyp)``, the
     only overlaps the two can share, all with a non-zero denominator.  A row
-    is built on its first lookup, and the cache holds one table per key."""
+    is built on its first lookup, and the cache holds one table per key; a
+    ``RewardConfig`` is the tuple ``(kind, beta)``, so configs that compare
+    equal share a table."""
 
     __slots__ = ("n_hyp", "config")
 
-    def __init__(self, n_hyp: int, kind: str, beta: float) -> None:
-        self.n_hyp, self.config = n_hyp, RewardConfig(kind, beta)
+    def __init__(self, n_hyp: int, config: RewardConfig) -> None:
+        self.n_hyp, self.config = n_hyp, config
 
     def __missing__(self, n_ref: int) -> tuple[float, ...]:
         n_hyp, config = self.n_hyp, self.config
@@ -97,41 +99,28 @@ class _RowTable(dict):
 
 
 class RewardSet:
-    """One sentence's reward set as edit bitmasks and member sizes.
+    """One sentence's reward set as member masks and member sizes.
 
-    The members are an ``EditIndex``'s systems plus any ``extra`` members
-    given as masks of that index's bits (the vote sets, whose edits are all
-    system edits).  The index is the one place edits get bits: a caller with
-    a list of edit sets indexes it first (``RewardSet(EditIndex(sets))``).
-    Every member edit has a bit, so a member is just its mask and its size
-    the mask's popcount, taken once here; a hypothesis shares
-    ``popcount(h & r)`` edits with it.  A hypothesis edit no member holds has
-    no bit and counts only in its size.  A candidate is scored by looking up
-    each member's row by its size in the shared ``_RowTable`` of the
-    hypothesis size and config (that member's reward at every possible
-    overlap) and indexing it with the overlap, all in C.  A row entry is the
-    ``_score`` value for the same arguments, and ``math.fsum`` sums the same
-    terms in member order, so every float is the one scoring each member
-    directly gives.  Nothing changes after construction.
+    ``masks`` are the members' edit sets as masks over one ``EditIndex``:
+    its ``masks``, plus any members whose edits all have bits there (the
+    vote sets).  A hypothesis is masked over the same index
+    (``EditIndex.mask``); an edit no member holds has no bit and counts only
+    in the hypothesis's size.  A member's size is its mask's popcount, taken
+    once here, and a hypothesis shares ``popcount(h & r)`` edits with it.  A
+    candidate is scored by looking up each member's row by its size in the
+    shared ``_RowTable`` of the hypothesis size and config (that member's
+    reward at every possible overlap) and indexing it with the overlap, all
+    in C.  A row entry is the ``_score`` value for the same arguments, and
+    ``math.fsum`` sums the same terms in member order, so every float is the
+    one scoring each member directly gives.  Nothing changes after
+    construction.
     """
 
-    __slots__ = ("source_len", "_bits", "_refs", "_sizes")
+    __slots__ = ("_refs", "_sizes")
 
-    def __init__(self, index: EditIndex, extra: Iterable[int] = ()) -> None:
-        self.source_len = index.source_len
-        self._bits = index.bits
-        self._refs = (*index.masks, *extra)
+    def __init__(self, masks: Iterable[int]) -> None:
+        self._refs = tuple(masks)
         self._sizes = tuple(map(int.bit_count, self._refs))
-
-    def bit(self, edit: Edit) -> int:
-        """The bit of ``edit``, or 0 when no member holds it."""
-        return self._bits.get(edit, 0)
-
-    def mask(self, edit_set: EditSet) -> int:
-        """The bits of the edits in ``edit_set`` that some member holds."""
-        check_source_len(self.source_len, edit_set)
-        # Distinct edits have distinct bits, so the sum is the OR.
-        return sum(map(self._bits.get, edit_set.edits, repeat(0)))
 
     def overlaps(self, mask: int) -> list[int]:
         """How many of the bits in ``mask`` each member holds, in member order."""
@@ -140,7 +129,7 @@ class RewardSet:
     def expected(self, mask: int, n_hyp: int, config: RewardConfig) -> float:
         """Mean reward of a hypothesis of ``n_hyp`` edits, ``mask`` of them held
         by some member, against every member (``math.fsum`` in member order)."""
-        rows = map(_RowTable(n_hyp, config.kind, config.beta).__getitem__, self._sizes)
+        rows = map(_RowTable(n_hyp, config).__getitem__, self._sizes)
         overlaps = map(int.bit_count, map(mask.__and__, self._refs))
         return math.fsum(map(getitem, rows, overlaps)) / len(self._sizes)
 
@@ -155,11 +144,11 @@ class RewardSet:
 
         ``overlaps`` is the hypothesis's ``overlaps(mask)`` before insertion,
         ``n_hyp`` its size after, and each entry of ``holders`` one new edit's
-        ``overlaps(bit(edit))``: 1 for each member that holds it, else 0.  A
+        ``overlaps`` of its bit: 1 for each member that holds it, else 0.  A
         new edit is not yet in the hypothesis, so the two add up to the
         overlaps after insertion.
         """
-        rows = list(map(_RowTable(n_hyp, config.kind, config.beta).__getitem__, self._sizes))
+        rows = list(map(_RowTable(n_hyp, config).__getitem__, self._sizes))
         k = len(rows)
         return [math.fsum(map(getitem, rows, map(add, overlaps, held))) / k for held in holders]
 
@@ -174,15 +163,16 @@ def reward(ref_edits: EditSet, hyp_edits: EditSet, config: RewardConfig) -> floa
 
 
 def expected_reward(
-    hyp_edits: EditSet, reward_set: Sequence[EditSet] | RewardSet, config: RewardConfig
+    hyp_edits: EditSet, reward_set: Sequence[EditSet], config: RewardConfig
 ) -> float:
     """Mean reward of ``hyp_edits`` against each member of ``reward_set``.
 
     Members are weighted uniformly.  The hypothesis may itself be a member; its
     own term is then the kind's perfect-match value: 1.0, except that a
     non-empty ``f-paper`` match gives (1 + beta^2) / (1 + beta).  ``math.fsum``
-    keeps the mean independent of member order.  A sequence of edit sets is
-    first indexed into a ``RewardSet``; passing one scores against it directly.
+    keeps the mean independent of member order.  The members are indexed
+    (``EditIndex``), the hypothesis masked over that index, and the mask
+    scored by a ``RewardSet`` of the members' masks.
     """
-    table = reward_set if isinstance(reward_set, RewardSet) else RewardSet(EditIndex(reward_set))
-    return table.expected(table.mask(hyp_edits), len(hyp_edits), config)
+    index = EditIndex(reward_set)
+    return RewardSet(index.masks).expected(index.mask(hyp_edits), len(hyp_edits), config)

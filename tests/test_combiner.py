@@ -19,6 +19,7 @@ from edit_mbr.combiner import (
     REWARD_SET_SPECS,
     STRATEGIES,
     CombineConfig,
+    CombineResult,
     combine_corpus,
     combine_sentence,
     mbr_select,
@@ -113,16 +114,23 @@ class TestMbrSelect:
             assert max(scores) == pytest.approx(scores[chosen_index], abs=1e-12)
 
     def test_reward_set_table_or_candidates_give_the_same_result(self):
+        # Each candidate masked over an index of the systems and scored by a
+        # table of their masks, then the first maximum, is mbr_select's result.
         rng = random.Random(47)
         for _ in range(200):
             systems = random_systems(rng)
             selection = systems + vote_candidates(systems)
-            table = RewardSet(EditIndex([candidate.edit_set for candidate in systems]))
+            index = EditIndex([candidate.edit_set for candidate in systems])
+            table = RewardSet(index.masks)
             for kind in REWARD_KINDS:
                 config = config_for(kind)
-                assert mbr_select(selection, table, config) == mbr_select(
-                    selection, systems, config
+                scores = tuple(
+                    table.expected(index.mask(c.edit_set), len(c.edit_set), config.reward)
+                    for c in selection
                 )
+                chosen = selection[scores.index(max(scores))]
+                want = CombineResult(chosen, tuple(selection), scores)
+                assert mbr_select(selection, systems, config) == want
 
     def test_argmax_invariant_under_affine_reward_map(self):
         rng = random.Random(43)
@@ -353,8 +361,8 @@ class TestCombineSentence:
 class TestExactScores:
     """``combine_sentence`` scores each candidate from the mask it already
     holds, once per distinct ``(mask, size)``; every float must be the one
-    ``expected_reward`` gives the candidate's edit set, and the first maximum
-    must win."""
+    ``expected_reward`` gives the candidate's edit set, and the one the
+    brute-force oracle gives, which sees no bits; the first maximum must win."""
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("kind", REWARD_KINDS)
@@ -383,6 +391,9 @@ class TestExactScores:
             expected_reward(candidate.edit_set, members, reward) for candidate in result.selection
         )
         assert result.expected_rewards == want
+        refs = [member.edits for member in members]
+        oracle = [bf_expected(kind, refs, c.edit_set.edits, reward.beta) for c in result.selection]
+        assert list(want) == oracle
         assert result.chosen == result.selection[want.index(max(want))]
 
     @pytest.mark.parametrize("strategy", ["mbr-vote", "greedy"])
@@ -416,7 +427,7 @@ class TestExactScores:
             raise AssertionError("combine_sentence re-masked a candidate")
 
         want = combine_sentence(fixture_systems(), config_for("f", strategy=strategy))
-        monkeypatch.setattr(RewardSet, "mask", refuse)
+        monkeypatch.setattr(EditIndex, "mask", refuse)
         monkeypatch.setattr(combiner, "expected_reward", refuse)
         monkeypatch.setattr(combiner, "mbr_select", refuse)
         assert combine_sentence(fixture_systems(), config_for("f", strategy=strategy)) == want
@@ -428,14 +439,14 @@ class TestExactScores:
     @pytest.mark.parametrize("kind", SIZED_KINDS)
     def test_mbr_select_sizes_a_candidate_by_its_edits_not_its_mask(self, kind):
         systems, config = fixture_systems(), config_for(kind)
-        table = RewardSet(EditIndex(systems_sets()))
+        index = EditIndex(systems_sets())
         outside = es(Edit(0, 1, ("Y",)), B)
-        assert table.mask(outside) == table.mask(es(B))
+        assert index.mask(outside) == index.mask(es(B))
         [score] = mbr_select([Candidate(outside, "outside")], systems, config).expected_rewards
         assert score == expected_reward(outside, systems_sets(), config.reward)
         refs = [edit_set.edits for edit_set in systems_sets()]
         assert score == pytest.approx(bf_expected(kind, refs, outside.edits), abs=1e-12)
-        assert score != table.expected(table.mask(outside), 1, config.reward)
+        assert score != RewardSet(index.masks).expected(index.mask(outside), 1, config.reward)
 
     @pytest.mark.parametrize("kind", SIZED_KINDS)
     def test_candidates_with_one_mask_and_different_sizes_score_apart(self, kind):

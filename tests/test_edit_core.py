@@ -279,6 +279,16 @@ class TestTokenCheck:
         ]
         assert disagree == []
 
+    def test_every_whitespace_code_point_is_refused_alone_and_inside_a_token(self):
+        spaces = [chr(code) for code in range(0x110000) if chr(code).isspace()]
+        assert len(spaces) > 20
+        for space in spaces:
+            for token in (space, "a" + space + "b"):
+                for build in (Sentence, lambda t: Edit(0, 1, t)):
+                    with pytest.raises(ValidationError) as info:
+                        build(("a", token))
+                    assert str(info.value) == f"token contains whitespace: {token!r}"
+
     @pytest.mark.parametrize(
         "tokens, message",
         [
@@ -848,8 +858,25 @@ class TestEditIndex:
             assert views[-1] == intersect(sets)
         assert reused >= 100
 
+    def test_mask_is_the_or_of_the_bits_of_the_held_edits(self):
+        rng = random.Random(79)
+        for sets in index_instances(300, seed=79):
+            index = EditIndex(sets)
+            for edit_set, mask in zip(sets, index.masks):
+                copy = EditSet(edit_set.source_len, edit_set.edits)
+                assert copy is not edit_set
+                assert index.mask(edit_set) == index.mask(copy) == mask
+            # An edit that no indexed set holds adds no bit.
+            other = random_edit_set(rng, sets[0].source_len)
+            assert index.mask(other) == sum(index.bits.get(edit, 0) for edit in other)
+        index = EditIndex([es(B)])
+        assert index.mask(es(B, D)) == index.mask(es(B)) == index.bits[B]
+        assert index.mask(es(D)) == 0
+
     def test_source_length_mismatch_names_both_lengths(self):
         with pytest.raises(ValidationError, match="disagree on source length: 3 vs 5"):
             EditIndex([es(B), EditSet(5, (B,))])
+        with pytest.raises(ValidationError, match="disagree on source length: 3 vs 5"):
+            EditIndex([es(B)]).mask(EditSet(5, (B,)))
         with pytest.raises(ValueError, match="need at least one edit set"):
             EditIndex([])

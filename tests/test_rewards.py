@@ -279,12 +279,13 @@ class TestRewardSet:
 
     def test_table_and_list_agree_with_brute_force_exactly(self):
         for refs, hyp in self.instances():
-            table = RewardSet(EditIndex(refs))
+            index = EditIndex(refs)
+            table = RewardSet(index.masks)
             for kind in REWARD_KINDS:
                 for beta in (0.3, 0.5, 1.0, 2.0):
                     config = RewardConfig(kind=kind, beta=beta)
                     from_list = expected_reward(hyp, refs, config)
-                    assert expected_reward(hyp, table, config) == from_list
+                    assert table.expected(index.mask(hyp), len(hyp), config) == from_list
                     assert from_list == bf_expected(kind, [ref.edits for ref in refs], hyp.edits, beta)
 
     def test_reward_is_the_one_member_case(self):
@@ -295,18 +296,19 @@ class TestRewardSet:
 
     def test_member_and_an_equal_copy_score_alike(self):
         # Every edit set, member or not, is masked edit by edit through the
-        # table's bits, so an equal but distinct copy gets the member's bits.
+        # index's bits, so an equal but distinct copy gets the member's bits.
         for refs, _ in self.instances(200, seed=47):
-            table = RewardSet(EditIndex(refs))
+            index = EditIndex(refs)
+            table = RewardSet(index.masks)
             for member in refs:
                 copy = EditSet(member.source_len, member.edits)
                 assert copy is not member
-                assert table.mask(copy) == table.mask(member)
+                assert index.mask(copy) == index.mask(member)
                 for kind in REWARD_KINDS:
                     config = RewardConfig(kind=kind, beta=2.0)
-                    assert expected_reward(copy, table, config) == expected_reward(
-                        member, table, config
-                    )
+                    got = table.expected(index.mask(copy), len(copy), config)
+                    assert got == table.expected(index.mask(member), len(member), config)
+                    assert got == expected_reward(member, refs, config)
 
     def test_index_plus_vote_masks_scores_as_the_listed_members(self):
         # Systems and their vote sets as extra members: built from the index
@@ -316,34 +318,35 @@ class TestRewardSet:
             resolved = index.resolve()
             votes = [edit_set for edit_set, _ in resolved]
             assert votes == [bf_vote_set(refs, m) for m in range(1, len(refs) + 1)]
-            table = RewardSet(index, [mask for _, mask in resolved])
-            listed = RewardSet(EditIndex(refs + votes))
+            table = RewardSet(index.masks + [mask for _, mask in resolved])
             members = [ref.edits for ref in refs + votes]
             for candidate in [hyp, *votes]:
                 for kind in REWARD_KINDS:
                     config = RewardConfig(kind=kind, beta=2.0)
-                    got = expected_reward(candidate, table, config)
-                    assert got == expected_reward(candidate, listed, config)
+                    got = table.expected(index.mask(candidate), len(candidate), config)
+                    assert got == expected_reward(candidate, refs + votes, config)
                     assert got == bf_expected(kind, members, candidate.edits, 2.0)
 
     def test_edit_outside_every_member_counts_only_in_size(self):
-        table = RewardSet(EditIndex([es(B)]))
-        assert table.bit(D) == 0
-        assert table.mask(es(B, D)) == table.bit(B) == table.mask(es(B))
-        assert expected_reward(es(B, D), table, RewardConfig(kind="precision")) == 0.5
+        index = EditIndex([es(B)])
+        assert D not in index.bits
+        assert index.mask(es(B, D)) == index.bits[B] == index.mask(es(B))
+        config = RewardConfig(kind="precision")
+        assert RewardSet(index.masks).expected(index.mask(es(B, D)), 2, config) == 0.5
+        assert expected_reward(es(B, D), [es(B)], config) == 0.5
 
     def test_empty_reward_set_rejected(self):
         # A list of edit sets is indexed first, so the index refuses an empty one.
         with pytest.raises(ValueError, match="need at least one edit set"):
-            RewardSet(EditIndex([]))
+            EditIndex([])
         with pytest.raises(ValueError, match="need at least one edit set"):
             expected_reward(es(B), [], RewardConfig())
 
     def test_source_length_mismatch_rejected(self):
         with pytest.raises(ValidationError):
-            RewardSet(EditIndex([es(B), EditSet(5, (B,))]))
+            EditIndex([es(B), EditSet(5, (B,))])
         with pytest.raises(ValidationError):
-            RewardSet(EditIndex([es(B)])).mask(EditSet(5, (B,)))
+            EditIndex([es(B)]).mask(EditSet(5, (B,)))
         with pytest.raises(ValidationError):
             expected_reward(EditSet(5, (B,)), [es(B), es()], RewardConfig())
         with pytest.raises(ValidationError):
@@ -361,19 +364,28 @@ class TestRewardRows:
 
     def test_interleaved_configs_on_one_table_match_brute_force_exactly(self):
         # One table scored under every config in turn, twice over, so a row
-        # cached for one (size, kind, beta) is looked up again under the others.
+        # cached for one (size, config) is looked up again under the others.
         rewards._RowTable.cache_clear()
         rng = random.Random(53)
         for _ in range(100):
             source_len = rng.randint(0, 10)
             refs = [random_edit_set(rng, source_len) for _ in range(rng.randint(1, 6))]
             hyps = [random_edit_set(rng, source_len) for _ in range(3)] + refs[:2]
-            table = RewardSet(EditIndex(refs))
+            index = EditIndex(refs)
+            table = RewardSet(index.masks)
             ref_edits = [ref.edits for ref in refs]
             for config in self.CONFIGS * 2:
                 for hyp in hyps:
-                    got = expected_reward(hyp, table, config)
+                    got = table.expected(index.mask(hyp), len(hyp), config)
                     assert got == bf_expected(config.kind, ref_edits, hyp.edits, config.beta)
+
+    def test_equal_configs_share_one_row_table(self):
+        # A table is keyed by the config it is given, a (kind, beta) tuple.
+        rewards._RowTable.cache_clear()
+        shared = rewards._RowTable(3, RewardConfig(kind="f", beta=1))
+        assert rewards._RowTable(3, RewardConfig(kind="f", beta=1.0)) is shared
+        assert rewards._RowTable(3, RewardConfig(kind="f", beta=2.0)) is not shared
+        assert rewards._RowTable(3, RewardConfig(kind="jaccard", beta=1)) is not shared
 
     def test_insertions_score_as_the_grown_sets(self):
         rng = random.Random(59)
@@ -381,15 +393,16 @@ class TestRewardRows:
             source_len = rng.randint(1, 10)
             refs = [random_edit_set(rng, source_len) for _ in range(rng.randint(1, 6))]
             hyp = random_edit_set(rng, source_len)
-            table = RewardSet(EditIndex(refs))
+            index = EditIndex(refs)
+            table = RewardSet(index.masks)
             extra = dict.fromkeys(
                 edit
                 for ref in refs
                 for edit in ref
                 if edit not in hyp and not any(bf_conflicts(edit, e) for e in hyp)
             )
-            holders = [table.overlaps(table.bit(edit)) for edit in extra]
-            overlaps = table.overlaps(table.mask(hyp))
+            holders = [table.overlaps(index.bits[edit]) for edit in extra]
+            overlaps = table.overlaps(index.mask(hyp))
             for config in self.CONFIGS:
                 got = table.expected_insertions(overlaps, len(hyp) + 1, holders, config)
                 want = [
