@@ -28,6 +28,7 @@ from .edit_core import (
     ValidationError,
     apply_edits,
     conflicts,
+    extract_batch,
     extract_edits,
     intersect,
     tokenize,
@@ -69,6 +70,7 @@ __all__ = [
     "conflicts",
     "emit_m2",
     "expected_reward",
+    "extract_batch",
     "extract_edits",
     "intersect",
     "load_parallel",

@@ -57,7 +57,7 @@ from .combiner import (
     CombineConfig,
     combine_corpus,
 )
-from .edit_core import ValidationError, apply_edits, extract_edits
+from .edit_core import ValidationError, apply_edits, extract_batch
 from .m2_io import (
     Annotation,
     M2Entry,
@@ -313,7 +313,7 @@ def cmd_extract(args) -> dict:
         raise ValidationError(
             f"{args.source} has {len(sources)} lines but {args.hypothesis} has {len(hyps)}"
         )
-    records = ((s, extract_edits(s, h), None) for s, h in zip(sources, hyps))
+    records = ((s, edits, None) for s, edits in zip(sources, extract_batch(sources, hyps)))
     return _render(records, {args.out: _FORMATS["m2"]})
 
 

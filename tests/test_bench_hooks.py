@@ -14,7 +14,7 @@ import pytest
 from conftest import random_systems
 from edit_mbr import cli, combiner, m2_io, rewards, scorer
 from edit_mbr.combiner import CombineConfig, combine_corpus
-from edit_mbr.edit_core import Sentence, tokenize
+from edit_mbr.edit_core import Sentence
 from edit_mbr.m2_io import CorpusEntry
 from edit_mbr.rewards import RewardConfig
 
@@ -84,28 +84,6 @@ def test_combine_corpus_reaches_neither_expected_reward_nor_mbr_select(bench_mod
     assert "combiner.mbr_select" not in names
 
 
-def test_text_hypotheses_are_extracted_through_the_traced_name(bench_modules, tmp_path):
-    child, spans = bench_modules
-    sources = [tokenize(line) for line in ("a b c", "x y z w", "", "p q")]
-    hyp_lines = ["a B c", "x y z w", "n", "q p q r"]
-    hyp_path = tmp_path / "hyp.txt"
-    hyp_path.write_text("".join(line + "\n" for line in hyp_lines), encoding="utf-8")
-    want = m2_io.load_hypothesis_sets(hyp_path, sources, "src.txt")
-    tracer = spans.Tracer()
-    replacements = child._wrappers(tracer, cli, m2_io, combiner, rewards, scorer)
-    with spans.patched(replacements):
-        got = m2_io.load_hypothesis_sets(hyp_path, sources, "src.txt")
-    assert got == want
-    extract_spans = [span for span in tracer.spans() if span.name == "edit_core.extract_edits"]
-    assert len(extract_spans) == len(hyp_lines)
-    counts = tracer.counts()
-    assert counts["edit_core.extract_edits.dp_cells"] == sum(
-        (len(source) + 1) * (len(line.split()) + 1) for source, line in zip(sources, hyp_lines)
-    )
-    assert counts["edit_core.extract_edits.edits"] == sum(len(edit_set) for edit_set in want)
-    assert counts["edit_core.extract_edits.identical"] == 1
-
-
 REFERENCE_M2 = """\
 S a b c
 A 1 2|||R:NOUN|||B|||REQUIRED|||-NONE-|||0
@@ -118,6 +96,48 @@ S p q r s
 A 0 1|||U:DET|||-NONE-|||REQUIRED|||-NONE-|||1
 
 """
+
+
+def test_text_hypotheses_load_alike_under_the_wrappers(
+    bench_modules, tmp_path, monkeypatch, capsys
+):
+    # A text file's lines are aligned in one ``extract_batch`` call, which no
+    # wrapper replaces: ``m2_io.extract_edits`` is kept so that the wrapper
+    # list still builds, and its span never opens.
+    child, spans = bench_modules
+    monkeypatch.chdir(tmp_path)
+    sources = ["a b c", "x y", "p q r s"]
+    hypotheses = {"sys0": ["a B c", "x y", "q r s"], "sys1": ["a b", "n x y", "p q r s"]}
+    for name, lines in {"src": sources, **hypotheses}.items():
+        Path(f"{name}.txt").write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    Path("ref.m2").write_text(REFERENCE_M2, encoding="utf-8")
+    argvs = [
+        ["score", "src.txt", "sys0.txt", "ref.m2"],
+        ["combine", "src.txt", "sys0.txt", "sys1.txt", "--method", "mbr-vote", "-o", "out.txt"],
+    ]
+
+    def run(main):
+        # ``cli``'s names are looked up here, so a traced run calls the wrappers.
+        sets = cli.load_hypothesis_sets("sys0.txt", cli.load_sentences("src.txt"), "src.txt")
+        outputs = []
+        for argv in argvs:
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        return sets, outputs, Path("out.txt").read_bytes()
+
+    want = run(cli.main)
+    tracer = spans.Tracer()
+    replacements = child._wrappers(tracer, cli, m2_io, combiner, rewards, scorer)
+    assert (m2_io, "extract_edits") in [(module, name) for module, name, _ in replacements]
+    with spans.patched(replacements):
+        got = run(tracer.span("cli.main", cli.main))
+    assert got == want
+    names = [span.name for span in tracer.spans()]
+    assert names.count("cli.main") == len(argvs)
+    # The direct load and ``score``'s; ``combine`` loads through ``load_parallel``.
+    assert names.count("m2_io.load_hypothesis_sets") == 2
+    assert names.count("m2_io.load_parallel") == 1
+    assert "edit_core.extract_edits" not in names
 
 
 @pytest.mark.parametrize(

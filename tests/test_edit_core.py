@@ -24,7 +24,7 @@ from conftest import (
     random_systems,
 )
 import edit_mbr
-from edit_mbr import m2_io
+from edit_mbr import edit_core, m2_io
 from edit_mbr.edit_core import (
     Candidate,
     CorpusEntry,
@@ -35,6 +35,7 @@ from edit_mbr.edit_core import (
     ValidationError,
     apply_edits,
     conflicts,
+    extract_batch,
     extract_edits,
     intersect,
     tokenize,
@@ -702,6 +703,107 @@ class TestAlignmentKernel:
             source, hypothesis = random_pair(rng)
             got = extract_edits(source, hypothesis)
             assert got == bf_edits(source, hypothesis), (source, hypothesis)
+
+
+def batch_pairs(rng):
+    """Pairs for one ``extract_batch`` call that span several batches: one
+    more random pair than the lane count, an empty source, an empty
+    hypothesis, both empty, an identical pair, and one 300-token core among
+    the short ones, in a random order."""
+    pairs = [random_pair(rng) for _ in range(edit_core._LANES + 1)]
+    short = random_sentence(rng, 1, 20, rng.randint(1, 5))
+    pairs += [(Sentence(), short), (short, Sentence()), (Sentence(), Sentence()), (short, short)]
+    source = random_sentence(rng, 300, 300, rng.randint(1, 5))
+    middle = apply_edits(source, random_edit_set(rng, 300, max_edits=8))[1:-1]
+    # New first and last tokens keep the whole source in the core.
+    pairs.append((source, Sentence(("first",) + middle + ("last",))))
+    rng.shuffle(pairs)
+    return pairs
+
+
+class TestExtractBatch:
+    """Many pairs in the lanes of one int, against the full-table oracle."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(deadline=None)
+    def test_each_pair_matches_the_oracle_and_a_batch_of_one(self, seed):
+        pairs = batch_pairs(random.Random(seed))
+        sources, hypotheses = zip(*pairs)
+        got = extract_batch(sources, hypotheses)
+        assert len(got) == len(pairs)
+        for (source, hypothesis), edits in zip(pairs, got):
+            assert edits == bf_edits(source, hypothesis) == extract_edits(source, hypothesis)
+
+    @pytest.mark.parametrize("lanes, bits", [(1, 4096), (3, 4096), (32, 40), (32, 1)])
+    def test_lane_counts_and_bit_budgets_agree(self, monkeypatch, lanes, bits):
+        # A budget below a core's width gives that pair a batch of its own.
+        rng = random.Random(lanes * 7919 + bits)
+        pairs = [pair for _ in range(5) for pair in batch_pairs(rng)]
+        want = [bf_edits(source, hypothesis) for source, hypothesis in pairs]
+        monkeypatch.setattr(edit_core, "_LANES", lanes)
+        monkeypatch.setattr(edit_core, "_BATCH_BITS", bits)
+        assert extract_batch(*zip(*pairs)) == want
+
+    def test_all_delete_lane_below_an_all_insert_lane(self):
+        # Packed by hypothesis core length, the delete lane comes first.  In
+        # the first column its ``(x & vp) + vp`` carries out of its top bit;
+        # without the guard bit that carry would land in the insert lane's
+        # bottom row and change its edits.
+        pairs = [
+            ("b a", "a b a b", (Edit(0, 0, ("a",)), Edit(2, 2, ("b",)))),
+            ("b a a a b", "a a a", (Edit(0, 1, ()), Edit(4, 5, ()))),
+        ]
+        for order in (pairs, pairs[::-1]):
+            sources = [tokenize(source) for source, _, _ in order]
+            hypotheses = [tokenize(hypothesis) for _, hypothesis, _ in order]
+            got = extract_batch(sources, hypotheses)
+            assert [edits.edits for edits in got] == [edits for _, _, edits in order]
+            assert got == list(map(bf_edits, sources, hypotheses))
+
+    def test_takes_lists_and_tuples(self):
+        sources, hypotheses = ["a b c", "x y", ""], ["a x c", "y", "n"]
+        want = extract_batch(list(map(tokenize, sources)), list(map(tokenize, hypotheses)))
+        got = extract_batch(
+            [source.split() for source in sources], tuple(tuple(h.split()) for h in hypotheses)
+        )
+        assert got == want
+        assert extract_batch((), []) == []
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (["a", "b c"], "token contains whitespace: 'b c'"),
+            (("a", ""), "tokens must be non-empty"),
+            (["a", 1], "token is not a str: 1"),
+            ("a b", "tokens is a str, not a token sequence: 'a b'"),
+        ],
+    )
+    def test_a_bad_token_in_any_pair_is_refused_with_its_message(self, bad, message):
+        good = tokenize("a b")
+        for at in range(3):
+            for side in range(2):
+                sources, hypotheses = [good] * 3, [good] * 3
+                (sources, hypotheses)[side][at] = bad
+                with pytest.raises(ValidationError) as info:
+                    extract_batch(sources, hypotheses)
+                assert str(info.value) == message
+        with pytest.raises(ValidationError) as info:
+            extract_batch([good, bad], [good, bad])
+        assert str(info.value) == message
+
+    def test_the_first_bad_pair_in_input_order_is_reported(self):
+        good = tokenize("a b")
+        sources = [good, ["a", "b c"], good, ["d e"]]
+        hypotheses = [good, good, [""], ["f"]]
+        with pytest.raises(ValidationError, match="^token contains whitespace: 'b c'$"):
+            extract_batch(sources, hypotheses)
+        hypotheses[0] = ["a", ""]
+        with pytest.raises(ValidationError, match="^tokens must be non-empty$"):
+            extract_batch(sources, hypotheses)
+
+    def test_refuses_sequences_of_different_lengths(self):
+        with pytest.raises(ValidationError, match="^2 sources but 1 hypotheses$"):
+            extract_batch([tokenize("a"), tokenize("b")], [tokenize("a")])
 
 
 class TestApply:

@@ -30,6 +30,7 @@ from edit_mbr.edit_core import (
     Sentence,
     ValidationError,
     apply_edits,
+    extract_batch,
     extract_edits,
     intersect,
     tokenize,
@@ -89,33 +90,43 @@ def assert_checked_entry(entry) -> None:
 
 class TestUncheckedBuildsPassTheirChecks:
     @settings(deadline=None)
-    @given(seeds, st.booleans())
-    def test_extracted_and_applied_edit_sets(self, seed, related):
+    @given(seeds, st.integers(1, 40))
+    def test_extracted_and_applied_edit_sets(self, seed, n_pairs):
+        # Up to 40 pairs, so a batch of them can fill more than one pack of lanes.
         rng = random.Random(seed)
-        vocab = rng.randint(1, 12)
-        source = random_sentence(rng, 0, 25, vocab)
-        if related:
-            hypothesis = apply_edits(source, random_edit_set(rng, len(source), max_edits=6))
-            assert_checked_sentence(hypothesis)
-        else:
-            hypothesis = random_sentence(rng, 0, 25, vocab)
-        edits = extract_edits(source, hypothesis)
-        assert_checked_edit_set(edits)
-        assert edits == bf_edits(source, hypothesis)
-        output = apply_edits(source, edits)
-        assert_checked_sentence(output)
-        assert output == hypothesis
+        sources, hypotheses = [], []
+        for _ in range(n_pairs):
+            vocab = rng.randint(1, 12)
+            source = random_sentence(rng, 0, 25, vocab)
+            if rng.random() < 0.5:
+                hypothesis = apply_edits(source, random_edit_set(rng, len(source), max_edits=6))
+                assert_checked_sentence(hypothesis)
+            else:
+                hypothesis = random_sentence(rng, 0, 25, vocab)
+            sources.append(source)
+            hypotheses.append(hypothesis)
+        edit_sets = extract_batch(sources, hypotheses)
+        for source, hypothesis, edits in zip(sources, hypotheses, edit_sets):
+            assert_checked_edit_set(edits)
+            assert edits == bf_edits(source, hypothesis)
+            output = apply_edits(source, edits)
+            assert_checked_sentence(output)
+            assert output == hypothesis
 
     @settings(deadline=None)
-    @given(line_texts, line_texts)
-    def test_tokenized_lines_and_their_edits(self, source_text, hypothesis_text):
-        source, hypothesis = tokenize(source_text), tokenize(hypothesis_text)
-        assert_checked_sentence(source)
-        assert_checked_sentence(hypothesis)
-        assert source == tuple(source_text.split())
-        edits = extract_edits(source, hypothesis)
-        assert_checked_edit_set(edits)
-        assert apply_edits(source, edits) == hypothesis
+    @given(st.lists(st.tuples(line_texts, line_texts), max_size=6))
+    def test_tokenized_lines_and_their_edits(self, texts):
+        sources = [tokenize(source_text) for source_text, _ in texts]
+        hypotheses = [tokenize(hypothesis_text) for _, hypothesis_text in texts]
+        for source, (source_text, _) in zip(sources, texts):
+            assert_checked_sentence(source)
+            assert source == tuple(source_text.split())
+        for hypothesis in hypotheses:
+            assert_checked_sentence(hypothesis)
+        edit_sets = extract_batch(sources, hypotheses)
+        for source, hypothesis, edits in zip(sources, hypotheses, edit_sets):
+            assert_checked_edit_set(edits)
+            assert apply_edits(source, edits) == hypothesis
 
     @settings(deadline=None)
     @given(seeds, st.integers(1, 6))
@@ -277,8 +288,8 @@ UNCHECKED_BUILDS = {
     ("m2_io", "M2Entry._of", "tuple.__new__"): 1,
     ("edit_core", "tokenize", "Sentence._of"): 1,
     ("edit_core", "apply_edits", "Sentence._of"): 1,
-    ("edit_core", "extract_edits", "Edit._of"): 2,
-    ("edit_core", "extract_edits", "EditSet._of"): 1,
+    ("edit_core", "_backtrace", "Edit._of"): 2,
+    ("edit_core", "_backtrace", "EditSet._of"): 1,
     ("edit_core", "EditIndex.resolve", "EditSet._of"): 1,
     ("m2_io", "parse_m2", "Sentence._of"): 1,
     ("m2_io", "parse_m2", "Edit._of"): 1,
