@@ -14,9 +14,10 @@ vote set and its mask at every threshold; ``vote_set`` and ``intersect`` are
 views of it.
 
 ``Sentence``, ``Edit`` and ``EditSet`` each have one unchecked builder,
-``_of``, with the public constructor's arguments.  It is called only where
-every check of that constructor holds by construction, with a comment saying
-why; ``tests/test_unchecked.py`` lists every such call.
+``_of``: a sentence's takes its tokens, a record's (``Checked._of``) the
+tuple of its fields, and ``EditSet._of`` its constructor's arguments.  It is
+called only where every check of that constructor holds by construction,
+with a comment saying why; ``tests/test_unchecked.py`` lists every such call.
 """
 
 from __future__ import annotations
@@ -34,9 +35,13 @@ class Checked:
     """The first base of a record (a ``namedtuple`` subclass) whose ``__new__``
     checks its fields.  A namedtuple's own ``_make`` calls ``tuple.__new__``,
     and its ``_replace`` calls ``_make``; this ``_make`` builds through the
-    record's ``__new__``, so neither skips the checks."""
+    record's ``__new__``, so neither skips the checks; ``_of`` alone does."""
 
     __slots__ = ()
+
+    # Unchecked: the tuple of the record's fields, as ``Sentence._of`` takes
+    # its tokens; they must pass the checks of the record's ``__new__``.
+    _of = classmethod(tuple.__new__)
 
     @classmethod
     def _make(cls, fields: Iterable):
@@ -133,12 +138,6 @@ class Edit(Checked, namedtuple("Edit", "start end replacement")):
         if start == end and not replacement:
             raise ValidationError("zero-width edit with empty replacement is a no-op")
         _check_tokens(replacement)
-        return tuple.__new__(cls, (start, end, replacement))
-
-    @classmethod
-    def _of(cls, start: int, end: int, replacement: tuple[str, ...]) -> Edit:
-        """Unchecked: ``0 <= start <= end``, not a no-op, and ``replacement``
-        a tuple of valid tokens."""
         return tuple.__new__(cls, (start, end, replacement))
 
 
@@ -334,9 +333,12 @@ def apply_edits(source: Sentence, edits: EditSet) -> Sentence:
 
 
 # Pairs per packed batch, and the most bits (cores plus guard bits) a batch
-# of more than one pair may hold, so that one very long pair cannot make
-# every column of its batch a huge int.  16-32 lanes measured fastest; 64
-# was slower.
+# of more than one pair may hold.  16-32 lanes measured fastest; 64 was
+# slower.  Without the bit budget, 64 pairs of 1,000-token sources with a
+# fifth of their tokens substituted aligned in 140-146 ms against 66-73 ms,
+# and 200 such pairs of 300 tokens in 53-56 ms against 43 ms (minimum of 5
+# runs, 3 rounds).  The benchmark corpora never reach it: their lanes are at
+# most 41 bits (``text-mbr-vote``) and 121 bits (``score-long``) wide.
 _LANES = 32
 _BATCH_BITS = 4096
 
@@ -491,7 +493,7 @@ def _backtrace(
             if run_end is not None:
                 # A run holds a non-match step, so it is no no-op; ``hyp``'s
                 # slice is a tuple of checked tokens.
-                edits.append(Edit._of(i, run_end[0], hyp[j : run_end[1]]))
+                edits.append(Edit._of((i, run_end[0], hyp[j : run_end[1]])))
                 run_end = None
             i -= 1
             j -= 1
@@ -514,7 +516,7 @@ def _backtrace(
             j -= 1
     if run_end is not None:
         # As above: a non-empty run, replacement sliced from ``hyp``.
-        edits.append(Edit._of(i, run_end[0], hyp[j : run_end[1]]))
+        edits.append(Edit._of((i, run_end[0], hyp[j : run_end[1]])))
     # The runs came last first; a match step separates each from the next,
     # so reversed they are in range, sorted, disjoint and never touching.
     edits.reverse()

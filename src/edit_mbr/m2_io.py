@@ -33,7 +33,9 @@ word, not one per token.  Sentences are built unchecked (``Sentence._of``):
 ``A`` line's edit itself (field syntax, span range, no no-op) and builds it
 unchecked (``Edit._of``); each annotator's edits are still checked by
 ``EditSet``, the conflict check, and its annotations and entries are built
-unchecked (``Annotation._of``, ``M2Entry._of``).
+unchecked (``Annotation._of``, ``M2Entry._of``).  Each record's ``_of`` is
+``Checked._of``: it takes the tuple of the record's fields, as
+``Sentence._of`` takes the tokens.
 """
 
 from __future__ import annotations
@@ -93,12 +95,6 @@ class Annotation(Checked, namedtuple("Annotation", "annotator edits types")):
             )
         return tuple.__new__(cls, (annotator, edits, types))
 
-    @classmethod
-    def _of(cls, annotator: int, edits: EditSet, types: tuple[str, ...]) -> Annotation:
-        """Unchecked: ``annotator`` an ``int`` >= 0 and ``types`` a tuple of
-        one ``str`` per edit of ``edits``."""
-        return tuple.__new__(cls, (annotator, edits, types))
-
 
 class M2Entry(Checked, namedtuple("M2Entry", "source annotations")):
     """A source sentence plus per-annotator edit sets, in strictly ascending
@@ -120,12 +116,6 @@ class M2Entry(Checked, namedtuple("M2Entry", "source annotations")):
                 raise ValidationError(f"annotator ids must ascend: {ann.annotator} after {previous}")
             previous = ann.annotator
             check_source_len(len(source), ann.edits)
-        return tuple.__new__(cls, (source, annotations))
-
-    @classmethod
-    def _of(cls, source: Sentence, annotations: tuple[Annotation, ...]) -> M2Entry:
-        """Unchecked: ``annotations`` a tuple of ``Annotation``s in strictly
-        ascending annotator order, each built for ``len(source)`` tokens."""
         return tuple.__new__(cls, (source, annotations))
 
 
@@ -270,10 +260,10 @@ def parse_m2(
                 ) from exc
             types = tuple(map(first_type.__getitem__, edit_set.edits))
             # ``annotator`` passed ``_annotator_id``; one type str per edit.
-            annotations.append(Annotation._of(annotator, edit_set, types))
+            annotations.append(Annotation._of((annotator, edit_set, types)))
         # ``source`` is a ``Sentence``, ``sorted`` ids of one dict ascend
         # strictly, and every edit set was built for ``source_len``.
-        entries.append(M2Entry._of(source, tuple(annotations)))
+        entries.append(M2Entry._of((source, tuple(annotations))))
         source = run_field = None
         pending = {}
 
@@ -295,6 +285,8 @@ def parse_m2(
                 span = spans.get(fields[0])
                 if span is None:
                     span = spans[fields[0]] = _span(fields[0], line_no)
+                # Not always ``rpartition``'s tail: of a sixth field ``|0``
+                # that tail is ``0``, but the field is no annotator id.
                 annotator_field = fields[5]
             if annotator_field != run_field:
                 annotator = annotators.get(annotator_field)
@@ -328,7 +320,7 @@ def parse_m2(
                     f"line {line_no}: zero-width edit with empty replacement is a no-op"
                 )
             # The span is in range and not a no-op, and ``split`` tokens are valid.
-            hit = parsed[key] = Edit._of(start, end, replacement), word(fields[1], fields[1])
+            hit = parsed[key] = Edit._of((start, end, replacement)), word(fields[1], fields[1])
             edits.setdefault(*hit)
         elif not line.strip():
             close()

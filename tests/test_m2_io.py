@@ -103,7 +103,9 @@ class TestParse:
         with pytest.raises(M2ParseError, match="^line 2: non-integer edit span$"):
             parse_m2(f"S a b c\n{_line(span)}\n\n")
 
-    @pytest.mark.parametrize("annotator", [*NOT_M2_INTS, "\u00b2", "- 1"])
+    # Of ``|0`` and ``|| 2`` the text after the line's last '|||' reads as an
+    # integer, but the sixth field, split from the left, starts with '|'.
+    @pytest.mark.parametrize("annotator", [*NOT_M2_INTS, "\u00b2", "- 1", "|0", "|| 2"])
     def test_annotator_id_holds_ascii_digits_only(self, annotator):
         with pytest.raises(M2ParseError, match="^line 2: non-integer annotator id$"):
             parse_m2(f"S a b c\n{_line('1 2', annotator=annotator)}\n\n")
